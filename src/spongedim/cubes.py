@@ -21,6 +21,7 @@ from typing import Iterable, Sequence, Union
 from .errors import (
     DigitOutOfRange,
     EnumerationTooLarge,
+    InternalError,
     ScaleOutOfRange,
     SpongeError,
     WordTooShort,
@@ -105,7 +106,8 @@ def scale_exponents(s: Sponge, r: ScaleLike) -> ScaleExponents:
             k += 1
         ks.append(k)
     for a, b in zip(ks, ks[1:]):
-        assert a >= b, "depths must fall as bases grow"
+        if a < b:
+            raise InternalError(f"depths {ks} rise although the bases do not fall")
     return ScaleExponents(tuple(ks), scale)
 
 
@@ -213,6 +215,42 @@ def box_dim_slope(s: Sponge, depth: int) -> float:
     return math.log(count) / (depth * math.log(s.bases[0]))
 
 
+def exceeds_cap(base: int, exponent: int, cap: int, start: int = 1) -> bool:
+    """True when start * base**exponent > cap, for base >= 1.
+
+    A base of 2 or more passes any cap within cap.bit_length() factors, so
+    the exponent is clipped there and no power beyond the cap is formed.
+    """
+    return start * base ** min(exponent, cap.bit_length()) > cap
+
+
+def lattice_column(base: int, positions: Iterable[Sequence[int]]) -> list[int]:
+    """Numerators over base**len(positions) of every digit string, in order.
+
+    ``positions[t]`` lists the digits allowed at position t; the strings run
+    lexicographically with the first position slowest, and each numerator is
+    the string read as a base-``base`` integer.
+    """
+    values = [0]
+    for digits in positions:
+        values = [v * base + j for v in values for j in digits]
+    return values
+
+
+def lattice_boxes(columns: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[Box, ...]:
+    """Boxes whose coordinate l is [v/dens[l], (v+1)/dens[l]] for v in columns[l].
+
+    Each distinct numerator of a coordinate is turned into one interval of
+    Fractions that every box holding it shares, so the exporters can format
+    it once.
+    """
+    per_coord = []
+    for column, den in zip(columns, dens):
+        table = {v: (Fraction(v, den), Fraction(v + 1, den)) for v in set(column)}
+        per_coord.append(map(table.__getitem__, column))
+    return tuple(zip(*per_coord))
+
+
 def prefractal(s: Sponge, level: int, cap: int = DEFAULT_CAP) -> BoxSet:
     """The level-m cover of the sponge: one box per length-m word.
 
@@ -221,23 +259,15 @@ def prefractal(s: Sponge, level: int, cap: int = DEFAULT_CAP) -> BoxSet:
     """
     if level < 0:
         raise ScaleOutOfRange(f"pre-fractal level must be >= 0, got {level}")
-    total = len(s.digits) ** level
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} boxes exceed the cap of {cap}")
-    dens = [n**level for n in s.bases]
-    boxes: list[Box] = []
-    for w in itertools.product(s.digits, repeat=level):
-        nums = [0] * s.d
-        for entry in w:
-            for l in range(s.d):
-                nums[l] = nums[l] * s.bases[l] + entry[l]
-        boxes.append(
-            tuple(
-                (Fraction(nums[l], dens[l]), Fraction(nums[l] + 1, dens[l]))
-                for l in range(s.d)
-            )
+    if exceeds_cap(len(s.digits), level, cap):
+        raise EnumerationTooLarge(
+            f"{len(s.digits)}^{level} boxes exceed the cap of {cap}"
         )
-    return BoxSet(tuple(boxes))
+    columns = [
+        lattice_column(n, [[t[l] for t in s.digits]] * level)
+        for l, n in enumerate(s.bases)
+    ]
+    return BoxSet(lattice_boxes(columns, [n**level for n in s.bases]))
 
 
 def boxes_to_csv(bs: BoxSet) -> str:
@@ -245,13 +275,33 @@ def boxes_to_csv(bs: BoxSet) -> str:
     d = bs.d
     header = ",".join(f"lo_{l+1},hi_{l+1}" for l in range(d))
     lines = [header]
+    # Memo keyed by interval identity: boxes built by lattice_boxes share
+    # their intervals, and ``bs`` keeps every interval alive, so ids stay
+    # unique for the whole call.
+    memo: dict[int, str] = {}
     for box in bs:
         cells: list[str] = []
-        for lo, hi in box:
-            cells.append(f"{lo.numerator}/{lo.denominator}")
-            cells.append(f"{hi.numerator}/{hi.denominator}")
+        for interval in box:
+            cell = memo.get(id(interval))
+            if cell is None:
+                lo, hi = interval
+                cell = f"{lo.numerator}/{lo.denominator},{hi.numerator}/{hi.denominator}"
+                memo[id(interval)] = cell
+            cells.append(cell)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def _interval_floats(interval: Interval) -> tuple[float, float, float]:
+    """float(lo), float(hi) and float(hi - lo), each correctly rounded.
+
+    Dividing integers rounds correctly, as Fraction.__float__ does, so this
+    gives the same floats without building the Fraction hi - lo.
+    """
+    lo, hi = interval
+    a, b = lo.numerator, lo.denominator
+    c, e = hi.numerator, hi.denominator
+    return a / b, c / e, (c * b - a * e) / (b * e)
 
 
 def boxes_to_svg(bs: BoxSet) -> str:
@@ -267,13 +317,21 @@ def boxes_to_svg(bs: BoxSet) -> str:
         'width="640" height="640">',
         '<rect x="0" y="0" width="1" height="1" fill="#ffffff"/>',
     ]
-    for (x_lo, x_hi), (y_lo, y_hi) in bs:
-        x = float(x_lo)
-        y = 1.0 - float(y_hi)
-        w = float(x_hi - x_lo)
-        h = float(y_hi - y_lo)
+    # Interval-identity memos, one per axis; see boxes_to_csv.
+    xs: dict[int, tuple[str, str]] = {}
+    ys: dict[int, tuple[str, str]] = {}
+    for x_iv, y_iv in bs:
+        x_attrs = xs.get(id(x_iv))
+        if x_attrs is None:
+            x, _, w = _interval_floats(x_iv)
+            x_attrs = xs[id(x_iv)] = (f'x="{x:.12g}"', f'width="{w:.12g}"')
+        y_attrs = ys.get(id(y_iv))
+        if y_attrs is None:
+            _, y_hi, h = _interval_floats(y_iv)
+            y = 1.0 - y_hi
+            y_attrs = ys[id(y_iv)] = (f'y="{y:.12g}"', f'height="{h:.12g}"')
         parts.append(
-            f'<rect x="{x:.12g}" y="{y:.12g}" width="{w:.12g}" height="{h:.12g}" '
+            f"<rect {x_attrs[0]} {y_attrs[0]} {x_attrs[1]} {y_attrs[1]} "
             'fill="#1f3a5f" fill-opacity="0.85"/>'
         )
     parts.append("</svg>")

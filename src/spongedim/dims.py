@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import NonStrictBases, ScaleOutOfRange
+from .errors import InternalError, NonStrictBases, ScaleOutOfRange
 from .model import Prefix, Sponge, has_uniform_fibres
 
 SCHEMA_VERSION = 1
@@ -73,7 +73,7 @@ def _z_recursions(s: Sponge) -> tuple[dict[Prefix, float], dict[Prefix, float]]:
 
     The unprimed table sums child values raised to the level exponent; the
     primed table takes the global level minimum instead and multiplies by the
-    local branching count.  Domination of primed by unprimed is asserted at
+    local branching count.  Domination of primed by unprimed is checked at
     every prefix along the way.
     """
     z: dict[Prefix, float] = {p: 1.0 for p in s.level_sets[s.d]}
@@ -86,7 +86,11 @@ def _z_recursions(s: Sponge) -> tuple[dict[Prefix, float], dict[Prefix, float]]:
         for p in s.level_sets[l - 1]:
             nz[p] = sum(z[p + (j,)] ** e for j in s.fibre(p))
             nzp[p] = s.fibre_count(p) * min_zp
-            assert nz[p] >= nzp[p] - _RECURSION_TOL, (l - 1, p, nz[p], nzp[p])
+            if nz[p] < nzp[p] - _RECURSION_TOL:
+                raise InternalError(
+                    f"primed recursion exceeds unprimed at level {l - 1}, "
+                    f"prefix {p}: {nzp[p]} > {nz[p]}"
+                )
         z, zp = nz, nzp
     return z, zp
 
@@ -113,14 +117,17 @@ def dichotomy(s: Sponge) -> Dichotomy:
     """All four dimensions coincide exactly when fibres are uniform.
 
     In the non-uniform case the four values must be pairwise separated;
-    that separation is asserted, not assumed.
+    that separation is checked, not assumed.
     """
     _require_strict(s, "dichotomy")
     if has_uniform_fibres(s):
         return Dichotomy.ALL_EQUAL
     values = sorted((lower_dim(s), hausdorff_dim(s), box_dim(s), assouad_dim(s)))
     for a, b in zip(values, values[1:]):
-        assert b - a > 0, f"non-uniform fibres but dimensions {a} and {b} collide"
+        if not b - a > 0:
+            raise InternalError(
+                f"non-uniform fibres but dimensions {a} and {b} collide"
+            )
     return Dichotomy.ALL_DISTINCT
 
 

@@ -82,3 +82,11 @@ class UnsupportedBoundaryTangent(SpongeError):
 
 class SpongeFileError(SpongeError):
     """A sponge or weight file could not be parsed; message carries position info."""
+
+
+class InternalError(RuntimeError):
+    """A library invariant failed: a bug in this package, not bad input.
+
+    Deliberately not a SpongeError, so callers that handle domain errors do
+    not mistake it for one.
+    """

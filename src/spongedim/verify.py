@@ -19,7 +19,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import (
     EnumerationTooLarge,
@@ -36,7 +38,10 @@ from .cubes import (
     ScaleLike,
     approximate_cube,
     count_cubes,
+    exceeds_cap,
     geometric_box,
+    lattice_boxes,
+    lattice_column,
     scale_exponents,
 )
 from .dims import Dichotomy, assouad_dim, dichotomy, lower_dim
@@ -179,20 +184,6 @@ def _require_interior(s: Sponge, alphabets: Sequence[Sequence[int]]) -> None:
             )
 
 
-def _factor_intervals(
-    base: int, alphabet: Sequence[int], level: int
-) -> list[tuple[Fraction, Fraction]]:
-    """Level-`level` pre-fractal of a one-dimensional digit IFS, in order."""
-    width = Fraction(1, base**level)
-    out: list[tuple[Fraction, Fraction]] = []
-    for digits in itertools.product(sorted(alphabet), repeat=level):
-        lo = Fraction(0)
-        for t, j in enumerate(digits, start=1):
-            lo += Fraction(j, base**t)
-        out.append((lo, lo + width))
-    return out
-
-
 def hat_set_prefractal(
     s: Sponge, mode: Mode, level: int, cap: int = DEFAULT_CAP
 ) -> BoxSet:
@@ -213,12 +204,16 @@ def hat_set_prefractal(
         if len(alpha) == s.bases[l]:
             lists.append([(Fraction(0), one)])
         else:
-            total *= len(alpha) ** level
-            if total > cap:
+            if exceeds_cap(len(alpha), level, cap, start=total):
                 raise EnumerationTooLarge(
                     f"tangent-set cover needs more than {cap} boxes"
                 )
-            lists.append(_factor_intervals(s.bases[l], alpha, level))
+            total *= len(alpha) ** level
+            den = s.bases[l] ** level
+            lists.append([
+                (Fraction(v, den), Fraction(v + 1, den))
+                for v in lattice_column(s.bases[l], [sorted(alpha)] * level)
+            ])
     boxes = tuple(box for box in itertools.product(*lists))
     return BoxSet(boxes)
 
@@ -227,22 +222,35 @@ def hat_set_prefractal(
 # rescaled cube pieces
 
 
-def _image_position_choices(
-    s: Sponge, word: tuple[DigitTuple, ...], ks: Sequence[int], level: int
-) -> list[tuple[DigitTuple, ...]]:
-    """Admissible digits per position for words refining the tangent cube."""
+def _tangent_cover(
+    s: Sponge, R: ScaleLike, mode: Mode, level: int, cap: int
+) -> tuple[TangentMap, list[tuple[DigitTuple, ...]]]:
+    """The tangent cube's map and the admissible digits at each word position.
+
+    The length-`level` words inside the cube of the tangent word are the
+    products of these per-position choices.  Their count is checked against
+    `cap` while the choices are built, so a huge level is refused after a few
+    positions rather than after all of them.
+    """
+    word = tangent_word(s, R, mode)
+    ks = scale_exponents(s, R).k
+    if level < ks[0]:
+        raise ScaleOutOfRange(
+            f"cover level {level} is coarser than the cube depth {ks[0]}"
+        )
+    tmap = TangentMap.from_cube(s, approximate_cube(s, word, R))
     digits = sorted(s.digit_set)
     choices: list[tuple[DigitTuple, ...]] = []
-    for t in range(1, level + 1):
-        pinned = [l for l in range(s.d) if ks[l] >= t]
-        if not pinned:
-            choices.append(tuple(digits))
-            continue
-        fixed = word[t - 1]
-        choices.append(
-            tuple(j for j in digits if all(j[l] == fixed[l] for l in pinned))
-        )
-    return choices
+    total = 1
+    for t in range(level):
+        pinned = [l for l in range(s.d) if ks[l] > t]
+        fixed = word[t] if pinned else ()
+        choice = tuple(j for j in digits if all(j[l] == fixed[l] for l in pinned))
+        total *= len(choice)
+        if total > cap:
+            raise EnumerationTooLarge(f"rescaled cover needs more than {cap} boxes")
+        choices.append(choice)
+    return tmap, choices
 
 
 def tangent_image(
@@ -252,111 +260,19 @@ def tangent_image(
 
     Enumerates the words of length `level` lying in the cube of the tangent
     word, takes their covering boxes, and pushes them through the cube's
-    rescaling map.  All corners stay exact rationals.
+    rescaling map.  All corners stay exact rationals: coordinate l of an
+    image box is a cell of the grid of side n_l^-(level - k_l).
     """
-    _, boxes = _tangent_pieces(s, R, mode, level, cap)
-    return boxes
-
-
-def _tangent_pieces(
-    s: Sponge, R: ScaleLike, mode: Mode, level: int, cap: int
-) -> tuple[TangentMap, BoxSet]:
-    word = tangent_word(s, R, mode)
-    ks = scale_exponents(s, R).k
-    if level < ks[0]:
-        raise ScaleOutOfRange(
-            f"cover level {level} is coarser than the cube depth {ks[0]}"
-        )
-    q = approximate_cube(s, word, R)
-    tmap = TangentMap.from_cube(s, q)
-    choices = _image_position_choices(s, word, ks, level)
-    total = 1
-    for c in choices:
-        total *= len(c)
-        if total > cap:
-            raise EnumerationTooLarge(
-                f"rescaled cover needs more than {cap} boxes"
-            )
-    sides = tuple(Fraction(1, s.bases[l] ** (level - ks[l])) for l in range(s.d))
-    boxes: list[Box] = []
-    lo = [Fraction(0)] * s.d
-
-    def rec(t: int) -> None:
-        if t == level:
-            boxes.append(
-                tuple(
-                    (
-                        (lo[l] - tmap.offsets[l]) * tmap.scales[l],
-                        (lo[l] - tmap.offsets[l]) * tmap.scales[l] + sides[l],
-                    )
-                    for l in range(s.d)
-                )
-            )
-            return
-        saved = tuple(lo)
-        for j in choices[t]:
-            for l in range(s.d):
-                lo[l] = saved[l] + Fraction(j[l], s.bases[l] ** (t + 1))
-            rec(t + 1)
-        for l in range(s.d):
-            lo[l] = saved[l]
-
-    rec(0)
-    return tmap, BoxSet(tuple(boxes))
-
-
-def _image_boxes_float(
-    s: Sponge, R: ScaleLike, mode: Mode, level: int, cap: int
-) -> list["FloatBox"]:
-    """Same cover as tangent_image but with float corners, for metric work."""
-    word = tangent_word(s, R, mode)
-    ks = scale_exponents(s, R).k
-    if level < ks[0]:
-        raise ScaleOutOfRange(
-            f"cover level {level} is coarser than the cube depth {ks[0]}"
-        )
-    q = approximate_cube(s, word, R)
-    tmap = TangentMap.from_cube(s, q)
-    choices = _image_position_choices(s, word, ks, level)
-    total = 1
-    for c in choices:
-        total *= len(c)
-        if total > cap:
-            raise EnumerationTooLarge(
-                f"rescaled cover needs more than {cap} boxes"
-            )
-    scales = [float(v) for v in tmap.scales]
-    offsets = [float(v) for v in tmap.offsets]
-    sides = [s.bases[l] ** (ks[l] - level) for l in range(s.d)]
-    steps = [
-        [[j[l] / s.bases[l] ** (t + 1) for l in range(s.d)] for j in choices[t]]
-        for t in range(level)
-    ]
-    out: list[FloatBox] = []
-    lo = [0.0] * s.d
-
-    def rec(t: int) -> None:
-        if t == level:
-            out.append(
-                tuple(
-                    (
-                        (lo[l] - offsets[l]) * scales[l],
-                        (lo[l] - offsets[l]) * scales[l] + sides[l],
-                    )
-                    for l in range(s.d)
-                )
-            )
-            return
-        saved = tuple(lo)
-        for deltas in steps[t]:
-            for l in range(s.d):
-                lo[l] = saved[l] + deltas[l]
-            rec(t + 1)
-        for l in range(s.d):
-            lo[l] = saved[l]
-
-    rec(0)
-    return out
+    tmap, choices = _tangent_cover(s, R, mode, level, cap)
+    columns: list[list[int]] = []
+    dens: list[int] = []
+    for l, n in enumerate(s.bases):
+        off = tmap.offsets[l]
+        shift = off.numerator * (n**level // off.denominator)
+        column = lattice_column(n, [[j[l] for j in c] for c in choices])
+        columns.append([v - shift for v in column])
+        dens.append(n ** (level - tmap.cube.exponents.k[l]))
+    return BoxSet(lattice_boxes(columns, dens))
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +324,6 @@ def box_set_hausdorff(a: BoxSet, b: BoxSet) -> float:
     return max(directed(a, b), directed(b, a))
 
 
-def _merged_union(intervals: Iterable[tuple[Fraction, Fraction]]) -> tuple[list[float], list[float]]:
-    """Sorted merged interval union as parallel float start/end lists."""
-    starts: list[float] = []
-    ends: list[float] = []
-    for lo, hi in sorted(intervals):
-        flo, fhi = float(lo), float(hi)
-        if starts and flo <= ends[-1]:
-            ends[-1] = max(ends[-1], fhi)
-        else:
-            starts.append(flo)
-            ends.append(fhi)
-    return starts, ends
-
-
 def _point_union_dist(x: float, starts: list[float], ends: list[float]) -> float:
     i = bisect_right(starts, x) - 1
     best = math.inf
@@ -448,80 +350,105 @@ def _interval_sup_dist(u: float, v: float, starts: list[float], ends: list[float
     return best
 
 
-FloatBox = tuple[tuple[float, float], ...]
+def _interval_sup_bound(u: float, v: float, starts: list[float], ends: list[float]) -> float:
+    """An upper bound on the sup over [u, v] of the distance to the union.
 
-
-def _directed_boxes_to_product(
-    boxes: Sequence[FloatBox], factors: list[tuple[list[float], list[float]]]
-) -> float:
-    worst = 0.0
-    for box in boxes:
-        total = 0.0
-        for (lo, hi), (starts, ends) in zip(box, factors):
-            c = _interval_sup_dist(lo, hi, starts, ends)
-            total += c * c
-        worst = max(worst, total)
-    return math.sqrt(worst)
-
-
-def _directed_product_to_boxes(
-    s: Sponge,
-    alphabets: Sequence[Sequence[int]],
-    level: int,
-    boxes: Sequence[FloatBox],
-) -> float:
-    """Worst distance from the product cover's cell corners to the box union.
-
-    The product cover at this refinement is a union of grid-aligned cells,
-    so its corner set is the product of the per-coordinate cell endpoints.
-    Each corner's exact distance to the union is found by hashing boxes
-    into the regular grid and searching outward ring by ring.  Interior
-    points of a cell can sit at most half a cell diagonal farther out,
-    which the caller's resolution slack absorbs.
+    The distance peaks at u, at v or at the middle of a coverage gap, where
+    it is half the gap, so the endpoint distances and the half-widths of all
+    gaps meeting (u, v) bound it.  Unlike ``_interval_sup_dist`` this grows
+    with [u, v] and bounds that function on every sub-interval.
     """
-    d = s.d
-    res = [s.bases[l] ** level for l in range(d)]
-    min_side = min(1.0 / r for r in res)
+    best = max(_point_union_dist(u, starts, ends), _point_union_dist(v, starts, ends))
+    i = max(bisect_right(starts, u) - 1, 0)
+    while i + 1 < len(starts) and ends[i] < v:
+        best = max(best, (starts[i + 1] - ends[i]) / 2.0)
+        i += 1
+    return best
 
-    bucket: dict[tuple[int, ...], list[FloatBox]] = {}
-    for box in boxes:
-        key = tuple(
-            min(int(((box[l][0] + box[l][1]) / 2) * res[l]), res[l] - 1)
-            for l in range(d)
+
+# Outward padding of a node box, per unit of the coordinate's map scale.  A
+# leaf's float corner is accumulated over at most `level` additions of terms
+# below 1 and then shifted and scaled, so its box can overshoot the exact
+# cylinder box of an ancestor by about scale * (level + 9) * 2^-52; the pad
+# is 2^8 times that and also covers the rounding of the bounds themselves.
+_PAD_PER_SCALE = 2.0**-44
+
+
+@dataclass(frozen=True)
+class _CoverTree:
+    """The tangent cover's word tree, with float boxes in image coordinates.
+
+    A depth-t node is a length-t word inside the tangent cube.  Its lower
+    corner is accumulated position by position in the original coordinates
+    and pushed through the map, exactly as for the leaves, so rounding is
+    monotone: no leaf corner lies below its ancestors' corners.  Its box
+    reaches ``reach[t]`` beyond the corner: the cylinder side n_l^(k_l - t)
+    plus ``pad`` for t < level, and the leaf side n_l^(k_l - level) at leaves.
+    """
+
+    steps: list[list[list[float]]]
+    offsets: list[float]
+    scales: list[float]
+    reach: list[list[float]]
+    pad: list[float]
+
+    @classmethod
+    def build(
+        cls, s: Sponge, tmap: TangentMap, choices: Sequence[Sequence[DigitTuple]]
+    ) -> "_CoverTree":
+        level = len(choices)
+        ks = tmap.cube.exponents.k
+        steps = [
+            [[j[l] / s.bases[l] ** (t + 1) for l in range(s.d)] for j in choices[t]]
+            for t in range(level)
+        ]
+        pad = [k * (level + 8) * _PAD_PER_SCALE for k in tmap.scales]
+        reach = [
+            [s.bases[l] ** (ks[l] - t) + pad[l] for l in range(s.d)]
+            for t in range(level)
+        ]
+        reach.append([s.bases[l] ** (ks[l] - level) for l in range(s.d)])
+        return cls(
+            steps,
+            [float(v) for v in tmap.offsets],
+            [float(v) for v in tmap.scales],
+            reach,
+            pad,
         )
-        bucket.setdefault(key, []).append(box)
 
-    def endpoint_values(l: int) -> list[float]:
-        alpha = sorted(alphabets[l])
-        vals = [0]
-        for _ in range(level):
-            vals = [v * s.bases[l] + j for v in vals for j in alpha]
-        points = sorted({v for v in vals} | {v + 1 for v in vals})
-        return [p / res[l] for p in points]
+    def least(self, score: Callable[[list[float], int], float]) -> float:
+        """Least ``score`` over the leaves, by branch and bound.
 
-    corners = [endpoint_values(l) for l in range(d)]
-    worst = 0.0
-    max_ring = max(res) + 1
-    for x in itertools.product(*corners):
-        idx = tuple(min(int(x[l] * res[l]), res[l] - 1) for l in range(d))
+        ``score(corner, t)`` takes a depth-t node's image lower corner.  It
+        must be exact at leaves (t == level) and, below that, no larger than
+        the score of any leaf under the node.  Children are visited in order
+        of score, and a node is dropped once its score reaches the best leaf
+        found: no leaf under it can be strictly smaller.
+        """
+        level = len(self.steps)
+        offsets, scales = self.offsets, self.scales
         best = math.inf
-        for ring in range(0, max_ring + 1):
-            if ring > 1 and (ring - 1) * min_side >= best:
-                break
-            for off in itertools.product(range(-ring, ring + 1), repeat=d):
-                if max(abs(o) for o in off) != ring:
-                    continue
-                key = tuple(idx[l] + off[l] for l in range(d))
-                for other in bucket.get(key, ()):
-                    total = 0.0
-                    for l in range(d):
-                        c = _corner_dist(x[l], other[l][0], other[l][1])
-                        total += c * c
-                    v = math.sqrt(total)
-                    if v < best:
-                        best = v
-        worst = max(worst, best)
-    return worst
+        stack: list[tuple[float, int, list[float]]] = [
+            (-math.inf, 0, [0.0] * len(offsets))
+        ]
+        while stack:
+            bound, t, lo = stack.pop()
+            if bound >= best:
+                continue
+            children = []
+            for delta in self.steps[t]:
+                child = [a + b for a, b in zip(lo, delta)]
+                value = score(
+                    [(c - o) * k for c, o, k in zip(child, offsets, scales)], t + 1
+                )
+                if value < best:
+                    if t + 1 == level:
+                        best = value
+                    else:
+                        children.append((value, t + 1, child))
+            children.sort(key=itemgetter(0), reverse=True)
+            stack.extend(children)
+        return best
 
 
 @dataclass(frozen=True)
@@ -544,10 +471,33 @@ def check_tangent_convergence(
     """Compare the rescaled cube piece at scale R against the product cover.
 
     The product cover is taken at refinement level - k_1(R), matching the
-    rescaled boxes' coarsest coordinate.  The reported bound has two parts:
-    the block-length term sqrt(d) max_l n_l^{-(k_{l-1}-k_l)} coming from the
-    construction, and a resolution slack 2 sqrt(d) max_l n_l^{-refinement}
-    because finite covers stand in for the limit sets on both sides.
+    rescaled boxes' coarsest coordinate.  The distance is the larger of two
+    directed ones.  `away` is the worst squared distance from a rescaled
+    box to the product cover, found per coordinate from the merged factor
+    intervals.  `toward` is the worst distance from a corner of the product
+    cover's cells to the nearest rescaled box; interior points of a cell can
+    sit at most half a cell diagonal farther out, which the resolution slack
+    absorbs.
+
+    Neither direction builds the rescaled cover.  Both walk the tangent
+    cube's word tree depth first with an explicit stack (``_CoverTree``).
+    A node's box is its cylinder box padded outward, and it holds every leaf
+    box below the node.  So the node's distance from a corner bounds the
+    leaves' from below, and its worst distance to the product cover, plus
+    the pad, bounds theirs from above.  `toward` visits the nearest child
+    first and drops a node whose lower bound is no smaller than the best
+    leaf so far; `away` visits the farthest child first and drops a node
+    whose upper bound is no larger than the worst leaf so far.  A dropped
+    node cannot hold a strictly better leaf, so the extremal leaf is always
+    reached.  Leaves are scored with the same float expressions in the same
+    order as a leaf-by-leaf scan, squared sums are compared, and the square
+    root is taken once at the end, so the result does not depend on which
+    nodes were dropped.
+
+    The reported bound has two parts: the block-length term
+    sqrt(d) max_l n_l^{-(k_{l-1}-k_l)} coming from the construction, and a
+    resolution slack 2 sqrt(d) max_l n_l^{-refinement} because finite covers
+    stand in for the limit sets on both sides.
     """
     ks = scale_exponents(s, R)
     k1 = ks.k[0]
@@ -558,14 +508,47 @@ def check_tangent_convergence(
     refinement = level - k1
     alphabets = hat_digit_alphabets(s, mode)
     _require_interior(s, alphabets)
-    image = _image_boxes_float(s, R, mode, level, cap)
+    tree = _CoverTree.build(s, *_tangent_cover(s, R, mode, level, cap))
 
-    factors = [
-        _merged_union(_factor_intervals(s.bases[l], alphabets[l], refinement))
-        for l in range(s.d)
-    ]
-    away = _directed_boxes_to_product(image, factors)
-    toward = _directed_product_to_boxes(s, alphabets, refinement, image)
+    factors: list[tuple[list[float], list[float]]] = []
+    corner_values: list[list[float]] = []
+    for l, n in enumerate(s.bases):
+        res = n**refinement
+        cells = sorted(set(lattice_column(n, [sorted(alphabets[l])] * refinement)))
+        run_lo: list[int] = []
+        run_hi: list[int] = []
+        for v in cells:
+            if run_hi and v == run_hi[-1]:
+                run_hi[-1] = v + 1
+            else:
+                run_lo.append(v)
+                run_hi.append(v + 1)
+        factors.append(([a / res for a in run_lo], [b / res for b in run_hi]))
+        points = sorted(set(cells).union(v + 1 for v in cells))
+        corner_values.append([p / res for p in points])
+
+    def away_score(corner: list[float], t: int) -> float:
+        total = 0.0
+        for lo, r, pad, (starts, ends) in zip(corner, tree.reach[t], tree.pad, factors):
+            if t == level:
+                c = _interval_sup_dist(lo, lo + r, starts, ends)
+            else:
+                c = _interval_sup_bound(lo, lo + r, starts, ends) + pad
+            total += c * c
+        return -total
+
+    def toward_score(x: tuple[float, ...], corner: list[float], t: int) -> float:
+        total = 0.0
+        for xl, lo, r in zip(x, corner, tree.reach[t]):
+            c = _corner_dist(xl, lo, lo + r)
+            total += c * c
+        return total
+
+    away = math.sqrt(-tree.least(away_score))
+    worst = max(
+        tree.least(partial(toward_score, x)) for x in itertools.product(*corner_values)
+    )
+    toward = math.sqrt(worst)
     distance = max(away, toward)
 
     rd = math.sqrt(s.d)

@@ -6,6 +6,7 @@ evidence rather than the same code run twice.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from spongedim import (
@@ -134,3 +135,132 @@ def _share_face(a, b) -> bool:
         else:
             return False
     return touching == 1
+
+
+def prefractal_boxes(s: Sponge, level: int):
+    """Level-``level`` pre-fractal boxes, one Fraction pair per coordinate.
+
+    Sums each word's contractions box by box in exact rationals, in the
+    lexicographic word order ``prefractal`` promises.
+    """
+    boxes = []
+    for w in itertools.product(s.digits, repeat=level):
+        box = []
+        for l, n in enumerate(s.bases):
+            lo = sum(
+                (Fraction(entry[l], n ** (t + 1)) for t, entry in enumerate(w)),
+                Fraction(0),
+            )
+            box.append((lo, lo + Fraction(1, n**level)))
+        boxes.append(tuple(box))
+    return tuple(boxes)
+
+
+def boxes_csv(boxes) -> str:
+    """CSV of exact box corners, formatted box by box."""
+    d = len(boxes[0])
+    lines = [",".join(f"lo_{l + 1},hi_{l + 1}" for l in range(d))]
+    for box in boxes:
+        lines.append(",".join(
+            f"{v.numerator}/{v.denominator}" for interval in box for v in interval
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def boxes_svg(boxes) -> str:
+    """SVG of planar boxes, formatted box by box."""
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1" '
+        'width="640" height="640">',
+        '<rect x="0" y="0" width="1" height="1" fill="#ffffff"/>',
+    ]
+    for (x_lo, x_hi), (y_lo, y_hi) in boxes:
+        parts.append(
+            f'<rect x="{float(x_lo):.12g}" y="{1.0 - float(y_hi):.12g}" '
+            f'width="{float(x_hi - x_lo):.12g}" height="{float(y_hi - y_lo):.12g}" '
+            'fill="#1f3a5f" fill-opacity="0.85"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def tangent_leaf_boxes(s: Sponge, R, mode, level: int):
+    """Float image boxes of every length-``level`` word in the tangent cube.
+
+    Enumerates all words over D and keeps those that agree with the tangent
+    word on its pinned entries.  Each corner is accumulated position by
+    position in the original coordinates, then shifted and scaled by the
+    tangent map, which is the float arithmetic the convergence check
+    promises for its leaves.
+    """
+    from spongedim import tangent_map, tangent_word
+
+    word = tangent_word(s, R, mode)
+    tmap = tangent_map(s, R, mode)
+    k = scale_exponents(s, R).k
+    offsets = [float(v) for v in tmap.offsets]
+    scales = [float(v) for v in tmap.scales]
+    sides = [s.bases[l] ** (k[l] - level) for l in range(s.d)]
+    boxes = []
+    for w in itertools.product(sorted(s.digits), repeat=level):
+        if any(w[t][l] != word[t][l] for l in range(s.d) for t in range(k[l])):
+            continue
+        lo = [0.0] * s.d
+        for t, entry in enumerate(w):
+            for l in range(s.d):
+                lo[l] = lo[l] + entry[l] / s.bases[l] ** (t + 1)
+        box = []
+        for l in range(s.d):
+            img = (lo[l] - offsets[l]) * scales[l]
+            box.append((img, img + sides[l]))
+        boxes.append(tuple(box))
+    return boxes
+
+
+def tangent_distance(s: Sponge, R, mode, level: int) -> float:
+    """max(away, toward) of the convergence check, over every leaf box.
+
+    `away` scores each rescaled box by its per-coordinate worst distance to
+    the merged product-factor intervals, using the library's one-dimensional
+    rule (``_interval_sup_dist``); `toward` takes each corner of the product
+    cells and the nearest rescaled box.  No box is skipped, so the result
+    checks the branch-and-bound walk that skips them.
+    """
+    from spongedim import hat_digit_alphabets
+    from spongedim.verify import _interval_sup_dist
+
+    boxes = tangent_leaf_boxes(s, R, mode, level)
+    refinement = level - scale_exponents(s, R).k[0]
+    alphabets = hat_digit_alphabets(s, mode)
+    factors = []
+    corner_values = []
+    for l, n in enumerate(s.bases):
+        intervals = alphabet_intervals(n, alphabets[l], refinement)
+        merged = []
+        for lo, hi in intervals:
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        factors.append(([float(a) for a, _ in merged], [float(b) for _, b in merged]))
+        corner_values.append(sorted({float(v) for iv in intervals for v in iv}))
+
+    away = 0.0
+    for box in boxes:
+        total = 0.0
+        for (u, v), (starts, ends) in zip(box, factors):
+            c = _interval_sup_dist(u, v, starts, ends)
+            total += c * c
+        away = max(away, total)
+
+    toward = 0.0
+    for x in itertools.product(*corner_values):
+        nearest = math.inf
+        for box in boxes:
+            total = 0.0
+            for xl, (lo, hi) in zip(x, box):
+                c = lo - xl if xl < lo else xl - hi if xl > hi else 0.0
+                total += c * c
+            nearest = min(nearest, math.sqrt(total))
+        toward = max(toward, nearest)
+    return max(math.sqrt(away), toward)

@@ -6,6 +6,7 @@ so any drift between the two surfaces fails here.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -442,6 +443,34 @@ class TestRender:
         )
         assert rc == 2
         assert ".svg or .csv" in err
+
+
+class TestSizeCaps:
+    """Oversized levels are refused before any sized work starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("render", "carpet_24.json", "--level", "9100", "--out", "cover.svg"),
+            ("render", "carpet_24.json", "--level", "1000000000", "--out", "cover.svg"),
+            ("tangent", "sponge_234.json", "--scale", "1/16", "--mode", "max",
+             "--level", "1000000000"),
+        ],
+    )
+    def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv):
+        argv = [
+            str(spec_dir / arg) if arg.endswith(".json")
+            else str(tmp_path / arg) if arg.startswith("cover.")
+            else arg
+            for arg in argv
+        ]
+        start = time.perf_counter()
+        rc, _, err = invoke(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert rc == 1
+        assert err.startswith("EnumerationTooLarge: ")
+        assert "Traceback" not in err
+        assert elapsed < 0.5
 
 
 class TestUsage:

@@ -263,6 +263,11 @@ class TestPrefractal:
             sd.prefractal(sponge_234, 9, cap=100)
 
 
+    def test_cap_refuses_huge_level_without_forming_the_count(self, sponge_234):
+        with pytest.raises(sd.EnumerationTooLarge, match=r"10\^1000000000 boxes"):
+            sd.prefractal(sponge_234, 10**9)
+
+
 class TestBoxExport:
     def test_csv_shape(self, carpet_24):
         text = sd.boxes_to_csv(sd.prefractal(carpet_24, 1))
@@ -276,3 +281,38 @@ class TestBoxExport:
         assert svg.count("<rect") == 3 + 1  # background + one per box
         with pytest.raises(sd.SpongeError):
             sd.boxes_to_svg(sd.prefractal(sponge_234, 1))
+
+
+class TestExportOracle:
+    """Pre-fractals and their exports agree with a per-box Fraction oracle."""
+
+    @pytest.mark.parametrize(
+        "name, levels",
+        [("sponge_234", (0, 1, 2, 3)), ("carpet_24", range(6)), ("carpet_vssc_34", range(6))],
+    )
+    def test_boxes_and_files_identical(self, spec_dir, name, levels):
+        s = sd.load_sponge(spec_dir / f"{name}.json")
+        for level in levels:
+            bs = sd.prefractal(s, level)
+            expected = oracle.prefractal_boxes(s, level)
+            assert bs.boxes == expected
+            assert sd.boxes_to_csv(bs) == oracle.boxes_csv(expected)
+            if s.d == 2:
+                assert sd.boxes_to_svg(bs) == oracle.boxes_svg(expected)
+
+    def test_unshared_intervals_export_alike(self, carpet_24):
+        """Boxes built by hand, with no shared intervals, export the same."""
+        bs = sd.prefractal(carpet_24, 3)
+        copied = sd.BoxSet(tuple(
+            tuple((Fraction(lo), Fraction(hi)) for lo, hi in box) for box in bs
+        ))
+        assert sd.boxes_to_csv(copied) == sd.boxes_to_csv(bs)
+        assert sd.boxes_to_svg(copied) == sd.boxes_to_svg(bs)
+
+
+class TestInvariantChecks:
+    def test_rising_depths_raise_internal_error(self):
+        # bypasses validation, which never lets bases fall
+        s = sd.Sponge(bases=(4, 2), digits=((0, 0), (1, 1)), strict_bases=False)
+        with pytest.raises(sd.InternalError):
+            sd.scale_exponents(s, Fraction(1, 16))

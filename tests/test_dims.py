@@ -191,3 +191,21 @@ class TestReportSerialization:
             "dichotomy",
             "errors",
         ]
+
+
+class TestInvariantChecks:
+    """Failed invariants raise InternalError, which `python -O` keeps."""
+
+    def test_colliding_dimensions(self, sponge_234, monkeypatch):
+        from spongedim import dims
+
+        monkeypatch.setattr(dims, "lower_dim", dims.hausdorff_dim)
+        with pytest.raises(sd.InternalError):
+            sd.dichotomy(sponge_234)
+
+    def test_primed_recursion_above_unprimed(self, sponge_234, monkeypatch):
+        from spongedim import dims
+
+        monkeypatch.setattr(dims, "_RECURSION_TOL", -math.inf)
+        with pytest.raises(sd.InternalError):
+            sd.hausdorff_dim(sponge_234)

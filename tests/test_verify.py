@@ -283,6 +283,11 @@ class TestHatSet:
         assert third == {(Fraction(21, 32), Fraction(43, 64))}
 
 
+    def test_huge_level_refused(self, sponge_234):
+        with pytest.raises(sd.EnumerationTooLarge):
+            sd.hat_set_prefractal(sponge_234, Mode.MAX, 10**9)
+
+
 class TestTangentImage:
     def test_exact_boxes_inside_unit_cube(self, sponge_234):
         bs = sd.tangent_image(sponge_234, Fraction(1, 16), Mode.MAX, 6)
@@ -309,6 +314,23 @@ class TestTangentImage:
         for box in bs:
             lo, hi = box[1]
             assert any(clo <= lo and hi <= chi for clo, chi in cells)
+
+
+    def test_exact_boxes_match_rescaled_prefractal(self, spec_dir):
+        """Each image box is the tangent map applied to a pre-fractal box."""
+        for name, R, level in (("sponge_234", Fraction(1, 4), 4),
+                               ("carpet_24", Fraction(1, 16), 6)):
+            s = sd.load_sponge(spec_dir / f"{name}.json")
+            for mode in Mode:
+                tmap = sd.tangent_map(s, R, mode)
+                cube = sd.geometric_box(s, tmap.cube)
+                expected = sorted(
+                    tmap.apply_box(box)
+                    for box in oracle.prefractal_boxes(s, level)
+                    if all(clo <= lo and hi <= chi
+                           for (clo, chi), (lo, hi) in zip(cube, box))
+                )
+                assert sorted(sd.tangent_image(s, R, mode, level)) == expected
 
 
 class TestBoxSetDistance:
@@ -348,6 +370,40 @@ class TestTangentConvergence:
     def test_level_below_cube_depth_refused(self, sponge_234):
         with pytest.raises(sd.ScaleOutOfRange):
             sd.check_tangent_convergence(sponge_234, Fraction(1, 16), Mode.MAX, 2)
+
+
+    def test_huge_level_refused(self, sponge_234):
+        with pytest.raises(sd.EnumerationTooLarge):
+            sd.check_tangent_convergence(sponge_234, Fraction(1, 16), Mode.MAX, 10**9)
+
+
+class TestTangentDistanceOracle:
+    """The pruned walk returns exactly the leaf-by-leaf distance."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_sample_specs(self, spec_dir, mode):
+        for name, R, level in (("sponge_234", Fraction(1, 4), 4),
+                               ("carpet_24", Fraction(1, 16), 6)):
+            s = sd.load_sponge(spec_dir / f"{name}.json")
+            rep = sd.check_tangent_convergence(s, R, mode, level)
+            assert rep.distance == oracle.tangent_distance(s, R, mode, level)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**5),
+        e=st.integers(1, 2),
+        extra=st.integers(1, 2),
+        mode=st.sampled_from(list(Mode)),
+    )
+    def test_random_sponges(self, seed, e, extra, mode):
+        s = random_strict_sponge(random.Random(seed), max_base=5, max_digits=6)
+        R = Fraction(1, s.bases[0] ** e)
+        level = e + extra
+        try:
+            rep = sd.check_tangent_convergence(s, R, mode, level)
+        except sd.UnsupportedBoundaryTangent:
+            return
+        assert rep.distance == oracle.tangent_distance(s, R, mode, level)
 
 
 class TestDichotomyAudit:
