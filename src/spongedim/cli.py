@@ -22,15 +22,17 @@ from .measure import (
     cube_measure,
     load_measure,
     positive_weight_grid,
-    weights_to_json,
+    weights_to_doc,
 )
 from .model import has_uniform_fibres, load_sponge, satisfies_vssc
 from .verify import (
+    DoublingVerdict,
     Mode,
     check_tangent_convergence,
     convergence_to_json,
     doubling_report,
     doubling_report_to_json,
+    doubling_reports,
     scan_ball_ratios_vssc,
     scan_cube_ratios,
     scan_report_to_json,
@@ -172,7 +174,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     m = coordinate_uniform(load_sponge(args.file))
     doc = {
         "schema_version": 1,
-        "weights": json.loads(weights_to_json(m)),
+        "weights": weights_to_doc(m),
     }
     print(json.dumps(doc, indent=2))
     return 0
@@ -235,29 +237,24 @@ def _cmd_ball_scan(args: argparse.Namespace) -> int:
 def _cmd_doubling(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
     if args.grid is not None:
-        results = []
-        all_non_doubling = True
-        for m in positive_weight_grid(s, args.grid):
-            report = doubling_report(s, m, args.max_depth)
-            non_doubling = report.verdict.value == "NonDoublingCertificate"
-            all_non_doubling = all_non_doubling and non_doubling
-            results.append(
-                {
-                    "weights": {
-                        ",".join(str(e) for e in t):
-                        f"{w.numerator}/{w.denominator}"
-                        for t, w in sorted(m.weights.items())
-                    },
-                    "growth_rate": report.growth_rate,
-                    "verdict": report.verdict.value,
-                }
-            )
+        measures = list(positive_weight_grid(s, args.grid))
+        reports = doubling_reports(s, measures, args.max_depth)
+        results = [
+            {
+                "weights": weights_to_doc(m),
+                "growth_rate": report.growth_rate,
+                "verdict": report.verdict.value,
+            }
+            for m, report in zip(measures, reports)
+        ]
         doc = {
             "schema_version": 1,
             "step": f"{args.grid.numerator}/{args.grid.denominator}",
             "max_depth": args.max_depth,
             "vectors": len(results),
-            "all_non_doubling": all_non_doubling,
+            "all_non_doubling": all(
+                report.verdict is DoublingVerdict.NON_DOUBLING for report in reports
+            ),
             "results": results,
         }
         print(json.dumps(doc, indent=2))

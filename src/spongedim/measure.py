@@ -11,6 +11,7 @@ and shallow computations stay exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -198,9 +199,10 @@ def ball_measure_bounds(
     lower = Fraction(0)
     upper = Fraction(0)
     visited = 0
-
-    def descend(level: int, nums: tuple[int, ...], mass: Fraction) -> None:
-        nonlocal lower, upper, visited
+    # (level, per-coordinate numerators over n_l^level, cylinder mass)
+    stack = [(0, (0,) * s.d, Fraction(1))]
+    while stack:
+        level, nums, mass = stack.pop()
         visited += 1
         if visited > cap:
             raise EnumerationTooLarge(f"ball bracket enumeration exceeded cap {cap}")
@@ -215,33 +217,41 @@ def ball_measure_bounds(
             max_sq += far
         meets_ball = min_sq < r2 if rad > 0 else min_sq == 0
         if not meets_ball:
-            return
+            continue
         if rad > 0 and max_sq <= r2:
             lower += mass
             upper += mass
-            return
+            continue
         if level == depth:
             upper += mass
-            return
+            continue
         for t in s.digits:
             child = tuple(nums[l] * s.bases[l] + t[l] for l in range(s.d))
-            descend(level + 1, child, mass * m.weights[t])
+            stack.append((level + 1, child, mass * m.weights[t]))
 
-    descend(0, (0,) * s.d, Fraction(1))
+    return _rational_log(lower), _rational_log(upper)
 
-    def wrap(x: Fraction) -> RationalLog:
-        return RationalLog(x, math.log(x) if x > 0 else -math.inf)
 
-    return wrap(lower), wrap(upper)
+def _rational_log(x: Fraction) -> RationalLog:
+    """x with its natural log, also when float(x) underflows to zero."""
+    if x == 0:
+        return RationalLog(x, -math.inf)
+    if float(x) == 0:
+        return RationalLog(x, math.log(x.numerator) - math.log(x.denominator))
+    return RationalLog(x, math.log(x))
+
+
+def weights_to_doc(m: BernoulliMeasure) -> dict[str, str]:
+    """The weights as a map 'i1,i2,...' -> 'p/q' in digit order."""
+    return {
+        ",".join(str(e) for e in t): f"{w.numerator}/{w.denominator}"
+        for t, w in sorted(m.weights.items())
+    }
 
 
 def weights_to_json(m: BernoulliMeasure) -> str:
     """Serialize weights as a JSON map 'i1,i2,...' -> 'p/q' in digit order."""
-    out = {
-        ",".join(str(e) for e in t): f"{w.numerator}/{w.denominator}"
-        for t, w in sorted(m.weights.items())
-    }
-    return json.dumps(out, indent=2)
+    return json.dumps(weights_to_doc(m), indent=2)
 
 
 def measure_from_json(s: Sponge, text: str) -> BernoulliMeasure:
@@ -288,7 +298,8 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
 
     ``step`` must be 1/q for an integer q >= |D|.  Yields one measure per
     assignment of multiples a/q (a >= 1) to the sorted digits summing to 1,
-    in lexicographic order, so downstream sweeps are deterministic.
+    in lexicographic order, so downstream sweeps are deterministic.  The
+    C(q-1, |D|-1) vectors are counted first and refused above DEFAULT_CAP.
     """
     h = as_scale(step)
     if h.numerator != 1 or h.denominator < 2:
@@ -300,16 +311,15 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
         raise ScaleOutOfRange(
             f"grid step 1/{q} leaves no positive vector for {m} digits"
         )
-
-    def splits(i: int, remaining: int):
-        if i == m - 1:
-            yield (remaining,)
-            return
-        for a in range(1, remaining - (m - 1 - i) + 1):
-            for rest in splits(i + 1, remaining - a):
-                yield (a,) + rest
-
-    for combo in splits(0, q):
+    count = math.comb(q - 1, m - 1)
+    if count > DEFAULT_CAP:
+        raise EnumerationTooLarge(
+            f"grid step 1/{q} gives {count} weight vectors, over the cap {DEFAULT_CAP}"
+        )
+    # a vector is a choice of m - 1 cut points in 1..q-1; cuts in
+    # lexicographic order give the parts in lexicographic order
+    for cuts in itertools.combinations(range(1, q), m - 1):
+        bounds = (0, *cuts, q)
         yield BernoulliMeasure(
-            s, {t: Fraction(a, q) for t, a in zip(digits, combo)}
+            s, {t: Fraction(b - a, q) for t, a, b in zip(digits, bounds, bounds[1:])}
         )

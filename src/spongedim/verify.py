@@ -16,11 +16,12 @@ import itertools
 import json
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter
+from operator import eq, itemgetter, mul, truediv
 from typing import Callable, Sequence
 
 from .errors import (
@@ -36,6 +37,7 @@ from .cubes import (
     Box,
     BoxSet,
     ScaleLike,
+    _column_width,
     approximate_cube,
     count_cubes,
     exceeds_cap,
@@ -51,7 +53,7 @@ from .measure import (
     coordinate_uniform,
     cube_measure,
 )
-from .model import DigitTuple, Prefix, Sponge, satisfies_vssc
+from .model import DigitTuple, Sponge, satisfies_vssc
 
 # Slack for float comparisons of quantities that are exact in principle.
 _EPS = 1e-9
@@ -604,6 +606,14 @@ class ScanReport:
     rows: tuple[tuple[str, Fraction, Fraction, float, float, float], ...]
 
 
+def _exp(x: float) -> float:
+    """math.exp(x), or inf where the result is too large for a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _is_coordinate_uniform(s: Sponge, m: BernoulliMeasure) -> bool:
     return m.weights == coordinate_uniform(s).weights
 
@@ -663,18 +673,17 @@ def scan_cube_ratios(
         lo_slack = log_ratio - log_lower
         worst_hi = min(worst_hi, up_slack)
         worst_lo = min(worst_lo, lo_slack)
-        ratio = math.exp(log_ratio)
+        ratio = _exp(log_ratio)
         rows.append(
-            (_word_label(word), small, big, ratio,
-             math.exp(log_lower), math.exp(log_upper))
+            (_word_label(word), small, big, ratio, _exp(log_lower), _exp(log_upper))
         )
         if up_slack < -_EPS:
             violations.append(
-                ScanViolation(word, small, big, ratio, math.exp(log_upper), "upper")
+                ScanViolation(word, small, big, ratio, _exp(log_upper), "upper")
             )
         if lo_slack < -_EPS:
             violations.append(
-                ScanViolation(word, small, big, ratio, math.exp(log_lower), "lower")
+                ScanViolation(word, small, big, ratio, _exp(log_lower), "lower")
             )
     return ScanReport(
         kind="cube-ratio",
@@ -766,17 +775,17 @@ def scan_ball_ratios_vssc(
         label = _word_label(word) + "|" + _word_label([tail])
         rows.append(
             (label, small, big, math.exp(min(high_ratio, 700.0)),
-             math.exp(log_lower), math.exp(log_upper))
+             _exp(log_lower), _exp(log_upper))
         )
         if up_slack < -_EPS:
             violations.append(
-                ScanViolation(word, small, big, math.exp(low_ratio),
-                              math.exp(log_upper), "upper")
+                ScanViolation(word, small, big, _exp(low_ratio),
+                              _exp(log_upper), "upper")
             )
         if lo_slack < -_EPS:
             violations.append(
                 ScanViolation(word, small, big, math.exp(min(high_ratio, 700.0)),
-                              math.exp(log_lower), "lower")
+                              _exp(log_lower), "lower")
             )
     return ScanReport(
         kind="ball-ratio",
@@ -828,42 +837,104 @@ class DoublingReport:
     window_start: int | None
 
 
-def _depth_cube_masses(
-    s: Sponge, m: BernoulliMeasure, k: int, cap: int
-) -> dict[tuple[int, ...], float]:
-    """Mass of every scale-(n_1^-k) cube keyed by its grid coordinates."""
-    r = Fraction(1, s.bases[0] ** k)
-    if count_cubes(s, r) > cap:
-        raise EnumerationTooLarge(
-            f"depth {k} needs {count_cubes(s, r)} cubes, over the cap {cap}"
-        )
-    ks = scale_exponents(s, r).k
-    k1 = ks[0]
-    # position t contributes one level-m_t prefix; cube mass is the product
-    # of those prefixes' masses and the grid index accumulates per coordinate
-    per_position: list[list[tuple[Prefix, float]]] = []
-    for t in range(1, k1 + 1):
-        m_t = sum(1 for v in ks if v >= t)
-        per_position.append(
-            [(p, float(m.prefix_mass(p))) for p in s.level_sets[m_t]]
-        )
-    out: dict[tuple[int, ...], float] = {}
-    grid = [0] * s.d
+class _DepthPlan:
+    """Cube keys and adjacent pairs at one depth; nothing here reads a measure.
 
-    def rec(t: int, mass: float) -> None:
-        if t == k1:
-            out[tuple(grid)] = mass
-            return
-        saved = tuple(grid)
-        for p, w in per_position[t]:
-            for l in range(len(p)):
-                grid[l] = saved[l] * s.bases[l] + p[l]
-            rec(t + 1, mass * w)
-            for l in range(s.d):
-                grid[l] = saved[l]
+    Cubes are numbered in word order (first position slowest, prefixes
+    sorted at each position), which is the order ``max_ratio_row`` builds
+    their masses in.  ``pairs[l]`` holds two arrays of cube numbers: the
+    cubes that have a neighbour one step up in coordinate l, in word order,
+    and those neighbours.
+    """
 
-    rec(0, 1.0)
-    return out
+    def __init__(self, s: Sponge, k: int, cap: int) -> None:
+        r = Fraction(1, s.bases[0] ** k)
+        count = count_cubes(s, r)
+        if count > cap:
+            raise EnumerationTooLarge(
+                f"depth {k} needs {count} cubes, over the cap {cap}"
+            )
+        ks = scale_exponents(s, r).k
+        self.sponge = s
+        self.ks = ks
+        # position t pins the first levels[t] coordinates
+        self.levels = [_column_width(ks, t) for t in range(1, ks[0] + 1)]
+        self.radices = [n**kl + 1 for n, kl in zip(s.bases, ks)]
+        strides = [1] * s.d
+        for l in range(s.d - 2, -1, -1):
+            strides[l] = strides[l + 1] * self.radices[l + 1]
+        self.strides = strides
+        # the same nesting as the masses in max_ratio_row, so that entry i
+        # of both lists belongs to cube number i
+        keys = [0]
+        for t, level in enumerate(self.levels):
+            scales = [
+                n ** (kl - 1 - t) * st
+                for n, kl, st in zip(s.bases[:level], ks, strides)
+            ]
+            offsets = [sum(map(mul, p, scales)) for p in s.level_sets[level]]
+            keys = [a + c for a in keys for c in offsets]
+        self.keys = keys
+        # pair numbers are kept unboxed (they are bounded by the cap, keys
+        # are not); the dict and its int objects go when the plan is built
+        numbers = range(len(keys))
+        number = dict(zip(keys, numbers)).get
+        self.pairs = []
+        for st in strides:
+            up = list(map(number, map(st.__add__, keys)))
+            found = [j is not None for j in up]
+            self.pairs.append(
+                (
+                    array("l", itertools.compress(numbers, found)),
+                    array("l", itertools.compress(up, found)),
+                )
+            )
+
+    def coordinates(self, key: int) -> tuple[int, ...]:
+        """Grid coordinates of the cube with this key."""
+        return tuple(key // st % rad for st, rad in zip(self.strides, self.radices))
+
+    def max_ratio_row(self, depth: int, m: BernoulliMeasure) -> DepthRatioRow:
+        """The row of one measure: its largest adjacent mass ratio and witness.
+
+        A pair's ratio is the larger of its two quotients, so the maximum is
+        the largest quotient in either direction.  The witness is the pair
+        with the smallest (key, coordinate) among those with a quotient
+        equal to it.
+        """
+        tables = {
+            level: [float(m.prefix_mass(p)) for p in self.sponge.level_sets[level]]
+            for level in set(self.levels)
+        }
+        masses = [1.0]
+        for level in self.levels:
+            masses = [a * w for a in masses for w in tables[level]]
+        mass = masses.__getitem__
+
+        def quotients(num: array, den: array):
+            return map(truediv, map(mass, num), map(mass, den))
+
+        # (coordinate, numerators, denominators): each pair in both directions
+        runs = [(l, a, b) for l, (a, b) in enumerate(self.pairs) if a]
+        runs += [(l, b, a) for l, a, b in runs]
+        if not runs:
+            return DepthRatioRow(depth, 0, None, None)
+        tops = [max(quotients(num, den)) for _, num, den in runs]
+        best = max(tops)
+
+        def least_tied_key(l: int, num: array, den: array) -> int:
+            ties = map(eq, quotients(num, den), itertools.repeat(best))
+            lower = itertools.compress(self.pairs[l][0], ties)
+            return min(map(self.keys.__getitem__, lower))
+
+        key, l = min(
+            (least_tied_key(l, num, den), l)
+            for top, (l, num, den) in zip(tops, runs)
+            if top == best
+        )
+        witness = (self.coordinates(key), self.coordinates(key + self.strides[l]))
+        pair_count = sum(len(a) for a, _ in self.pairs)
+        return DepthRatioRow(depth, pair_count, best, witness)
 
 
 def _slope(points: list[tuple[float, float]]) -> float:
@@ -885,39 +956,67 @@ def doubling_report(
     At each depth k the scale-(n_1^-k) cubes are enumerated with their
     masses; two cubes are adjacent when their covering boxes share a
     (d-1)-dimensional face, i.e. the integer grid coordinates differ by one
-    in exactly one coordinate.  The growth rate is fitted over buckets of
-    depths sharing the finest-coordinate refinement count, using each
-    bucket's maximum ratio; the non-doubling verdict additionally requires
-    the per-depth maxima to rise monotonically across three consecutive
-    depths with a strict net gain, so transient bumps are not flagged.
+    in exactly one coordinate.
+
+    A cube's grid coordinates g_l < n_l^k_l pack into one integer key
+    sum_l g_l * stride_l with stride_l = prod_{j>l} (n_j^k_j + 1).  The
+    radix n_j^k_j + 1 leaves room for g_j + 1, so adding stride_l to a key
+    never carries into another coordinate: key + stride_l is a cube's key
+    exactly when that cube is the neighbour one step up in coordinate l,
+    and integer order of keys is lexicographic order of the coordinates.
+    The adjacent pairs are found once per depth and shared by every measure
+    of a ``doubling_reports`` sweep.  The witness is the first pair, in
+    order of the lower cube's key and then the coordinate, whose ratio
+    equals the maximum: a scan in that order that replaces its witness only
+    on a strictly larger ratio keeps the first of tied pairs, so the
+    reported witness does not depend on how the pairs are stored.
+
+    The growth rate is fitted over buckets of depths sharing the
+    finest-coordinate refinement count, using each bucket's maximum ratio;
+    the non-doubling verdict additionally requires the per-depth maxima to
+    rise monotonically across three consecutive depths with a strict net
+    gain, so transient bumps are not flagged.
+    """
+    return doubling_reports(s, [m], max_depth, cap)[0]
+
+
+def doubling_reports(
+    s: Sponge,
+    measures: Sequence[BernoulliMeasure],
+    max_depth: int,
+    cap: int = DEFAULT_CAP,
+) -> list[DoublingReport]:
+    """``doubling_report`` for each measure, sharing the cube plan per depth.
+
+    Keys and adjacent pairs do not depend on the measure, so each depth is
+    planned once and only the masses are recomputed per measure.
     """
     if max_depth < 1:
         raise ScaleOutOfRange(f"max_depth must be >= 1, got {max_depth}")
-    rows: list[DepthRatioRow] = []
-    bucket_best: dict[int, float] = {}
+    rows: list[list[DepthRatioRow]] = [[] for _ in measures]
+    bucket_best: list[dict[int, float]] = [{} for _ in measures]
     for k in range(1, max_depth + 1):
-        masses = _depth_cube_masses(s, m, k, cap)
-        best: float | None = None
-        witness = None
-        pairs = 0
-        for g in sorted(masses):
-            mg = masses[g]
-            for l in range(s.d):
-                nb = g[:l] + (g[l] + 1,) + g[l + 1 :]
-                other = masses.get(nb)
-                if other is None:
-                    continue
-                pairs += 1
-                ratio = mg / other if mg >= other else other / mg
-                if best is None or ratio > best:
-                    best = ratio
-                    witness = (g, nb)
-        rows.append(DepthRatioRow(k, pairs, best, witness))
-        if best is not None:
-            v = scale_exponents(s, Fraction(1, s.bases[0] ** k)).k[-1]
-            bucket_best[v] = max(bucket_best.get(v, 0.0), best)
-
+        plan = _DepthPlan(s, k, cap)
+        v = plan.ks[-1]
+        for m, m_rows, m_best in zip(measures, rows, bucket_best):
+            row = plan.max_ratio_row(k, m)
+            m_rows.append(row)
+            if row.max_ratio is not None:
+                m_best[v] = max(m_best.get(v, 0.0), row.max_ratio)
+        del plan  # so that the next depth's plan is not built beside it
     last_bucket = scale_exponents(s, Fraction(1, s.bases[0] ** max_depth)).k[-1]
+    return [
+        _doubling_verdict(max_depth, m_rows, m_best, last_bucket)
+        for m_rows, m_best in zip(rows, bucket_best)
+    ]
+
+
+def _doubling_verdict(
+    max_depth: int,
+    rows: list[DepthRatioRow],
+    bucket_best: dict[int, float],
+    last_bucket: int,
+) -> DoublingReport:
     points = [
         (float(v), math.log(r))
         for v, r in sorted(bucket_best.items())

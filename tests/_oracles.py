@@ -264,3 +264,97 @@ def tangent_distance(s: Sponge, R, mode, level: int) -> float:
             nearest = min(nearest, math.sqrt(total))
         toward = max(toward, nearest)
     return max(math.sqrt(away), toward)
+
+
+def depth_cube_masses(s: Sponge, m: BernoulliMeasure, k: int) -> dict:
+    """Mass of every scale-(n_1^-k) cube keyed by its grid coordinate tuple.
+
+    Recurses over word positions, one call per cube, with the product of the
+    per-position prefix masses accumulated left to right.
+    """
+    ks = scale_exponents(s, Fraction(1, s.bases[0] ** k)).k
+    per_position = []
+    for t in range(1, ks[0] + 1):
+        m_t = sum(1 for v in ks if v >= t)
+        per_position.append([(p, float(m.prefix_mass(p))) for p in s.level_sets[m_t]])
+    out = {}
+    grid = [0] * s.d
+
+    def rec(t: int, mass: float) -> None:
+        if t == ks[0]:
+            out[tuple(grid)] = mass
+            return
+        saved = tuple(grid)
+        for p, w in per_position[t]:
+            for l in range(len(p)):
+                grid[l] = saved[l] * s.bases[l] + p[l]
+            rec(t + 1, mass * w)
+            for l in range(s.d):
+                grid[l] = saved[l]
+
+    rec(0, 1.0)
+    return out
+
+
+def adjacent_max_ratio(masses: dict):
+    """(pair count, max ratio, witness) over grid tuples one step apart.
+
+    Visits tuples in sorted order and coordinates in order; a pair replaces
+    the witness only when its ratio is strictly larger.
+    """
+    best = None
+    witness = None
+    pairs = 0
+    for g in sorted(masses):
+        mg = masses[g]
+        for l in range(len(g)):
+            nb = g[:l] + (g[l] + 1,) + g[l + 1 :]
+            other = masses.get(nb)
+            if other is None:
+                continue
+            pairs += 1
+            ratio = mg / other if mg >= other else other / mg
+            if best is None or ratio > best:
+                best = ratio
+                witness = (g, nb)
+    return pairs, best, witness
+
+
+def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int):
+    """(rows, growth rate, verdict value, window start) by the steps above.
+
+    Each row is (depth, pair count, max ratio, witness); the growth fit and
+    the three-depth window follow the rules ``doubling_report`` documents.
+    """
+    rows = []
+    bucket_best = {}
+    for k in range(1, max_depth + 1):
+        pairs, best, witness = adjacent_max_ratio(depth_cube_masses(s, m, k))
+        rows.append((k, pairs, best, witness))
+        if best is not None:
+            v = scale_exponents(s, Fraction(1, s.bases[0] ** k)).k[-1]
+            bucket_best[v] = max(bucket_best.get(v, 0.0), best)
+    last_bucket = scale_exponents(s, Fraction(1, s.bases[0] ** max_depth)).k[-1]
+    points = [
+        (float(v), math.log(r))
+        for v, r in sorted(bucket_best.items())
+        if v < last_bucket and r > 0
+    ]
+    growth = 1.0
+    if len(points) >= 2:
+        n = len(points)
+        mx = sum(x for x, _ in points) / n
+        my = sum(y for _, y in points) / n
+        sxx = sum((x - mx) ** 2 for x, _ in points)
+        sxy = sum((x - mx) * (y - my) for x, y in points)
+        growth = math.exp(sxy / sxx if sxx else 0.0)
+    window = None
+    for i in range(len(rows) - 2):
+        a, b, c = rows[i][2], rows[i + 1][2], rows[i + 2][2]
+        if a is not None and b is not None and c is not None:
+            if b >= a and c >= b and c > a * (1 + 1e-9):
+                window = rows[i][0]
+                break
+    non_doubling = growth > 1 + 1e-6 and window is not None
+    verdict = "NonDoublingCertificate" if non_doubling else "DoublingUpToDepth"
+    return rows, growth, verdict, window if non_doubling else None

@@ -208,6 +208,22 @@ class TestScan:
         assert out1 == out2
         assert json.loads(out1)["violation_count"] == 0
 
+    def test_deep_scan_reports_overflowing_ratios(self, capsys, spec_dir):
+        rc, out, err = invoke(
+            capsys,
+            "scan",
+            str(spec_dir / "sponge_234.json"),
+            "--samples",
+            "50",
+            "--seed",
+            "1",
+            "--depth",
+            "1000",
+        )
+        assert rc == 0
+        assert "Traceback" not in err
+        assert json.loads(out)["violation_count"] == 0
+
     def test_samples_csv_side_file(self, capsys, spec_dir, tmp_path):
         side = tmp_path / "rows.csv"
         rc, _, err = invoke(
@@ -446,7 +462,7 @@ class TestRender:
 
 
 class TestSizeCaps:
-    """Oversized levels are refused before any sized work starts."""
+    """Oversized levels and grids are refused before any sized work starts."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -455,6 +471,7 @@ class TestSizeCaps:
             ("render", "carpet_24.json", "--level", "1000000000", "--out", "cover.svg"),
             ("tangent", "sponge_234.json", "--scale", "1/16", "--mode", "max",
              "--level", "1000000000"),
+            ("doubling", "sponge_234.json", "--grid", "1/200", "--max-depth", "1"),
         ],
     )
     def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv):

@@ -1,5 +1,6 @@
 """Bernoulli measures: weights, conditionals, cube masses, ball brackets."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -229,6 +230,17 @@ class TestBallBrackets:
         lo, up = sd.ball_measure_bounds(m, center, Fraction(1, 8), 4)
         assert 0 < lo.exact <= up.exact < 1
 
+    def test_deep_point_mass_has_a_finite_log(self, carpet_24):
+        """No deep stack at depth 1500; a mass below float range keeps its log."""
+        m = sd.coordinate_uniform(carpet_24)
+        center = (Fraction(1, 3), Fraction(1, 3))
+        lo, up = sd.ball_measure_bounds(m, center, 0, 1500)
+        # the only cylinders through the point alternate (0,1) and (1,1)
+        assert up.exact == Fraction(1, 2**2250)
+        assert float(up.exact) == 0.0
+        assert up.log_value == pytest.approx(-2250 * math.log(2), rel=1e-12)
+        assert lo.exact == 0 and lo.log_value == -math.inf
+
 
 class TestWeightFiles:
     def test_round_trip(self, sponge_234):
@@ -278,3 +290,14 @@ class TestWeightGrid:
         first = [m.weights for m in sd.positive_weight_grid(carpet_24, Fraction(1, 8))]
         second = [m.weights for m in sd.positive_weight_grid(carpet_24, Fraction(1, 8))]
         assert first == second
+
+    def test_lexicographic_compositions(self, sponge_234):
+        digits = sorted(sponge_234.digits)
+        got = [
+            tuple(m.weights[t] * 12 for t in digits)
+            for m in sd.positive_weight_grid(sponge_234, Fraction(1, 12))
+        ]
+        expected = [
+            c for c in itertools.product(range(1, 4), repeat=10) if sum(c) == 12
+        ]
+        assert got == expected

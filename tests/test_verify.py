@@ -143,6 +143,49 @@ class TestDoubling:
         rep = sd.doubling_report(carpet_vssc, m, 8)
         assert rep.window_start is None
 
+    @staticmethod
+    def _assert_matches_oracle(s, m, rep):
+        rows, growth, verdict, window = oracle.doubling_report(s, m, rep.max_depth)
+        assert [
+            (row.depth, row.pair_count, row.max_ratio, row.witness)
+            for row in rep.per_depth
+        ] == rows
+        assert rep.growth_rate == growth
+        assert rep.verdict.value == verdict
+        assert rep.window_start == window
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**5), max_depth=st.integers(1, 5))
+    def test_sweep_matches_recursive_oracle(self, seed, max_depth):
+        """Rows, witnesses and verdicts equal the recursion's, float for float."""
+        rng = random.Random(seed)
+        s = random_strict_sponge(rng, max_base=5, max_digits=6)
+        digits = sorted(s.digits)
+        measures = [sd.coordinate_uniform(s)]
+        for _ in range(2):
+            ints = [rng.randint(1, 20) for _ in digits]
+            measures.append(sd.BernoulliMeasure(
+                s, {t: Fraction(a, sum(ints)) for t, a in zip(digits, ints)}
+            ))
+        reports = sd.doubling_reports(s, measures, max_depth)
+        for m, rep in zip(measures, reports):
+            self._assert_matches_oracle(s, m, rep)
+        assert reports == [sd.doubling_report(s, m, max_depth) for m in measures]
+
+    @pytest.mark.parametrize(
+        "name, depth",
+        [("carpet_24", 9), ("sponge_234", 5), ("sponge_344", 3), ("carpet_vssc", 8)],
+    )
+    def test_sample_sponges_match_recursive_oracle(self, request, name, depth):
+        s = request.getfixturevalue(name)
+        for m in list(sd.positive_weight_grid(s, Fraction(1, len(s.digits) + 1)))[:3]:
+            self._assert_matches_oracle(s, m, sd.doubling_report(s, m, depth))
+
+    def test_cap_checked_before_a_depth_is_built(self, carpet_24):
+        m = sd.coordinate_uniform(carpet_24)
+        with pytest.raises(sd.EnumerationTooLarge, match="depth 3 needs 12 cubes"):
+            sd.doubling_reports(carpet_24, [m, m], 6, cap=11)
+
 
 class TestWitnesses:
     def test_max_mode_picks_smallest_maximizers(self, sponge_234):
