@@ -92,18 +92,28 @@ class BoxSet:
 
 
 def scale_exponents(s: Sponge, r: ScaleLike) -> ScaleExponents:
-    """Depths k_l(r) found by exact integer search, for 0 < r <= 1."""
+    """Depths k_l(r), for 0 < r <= 1, decided in integers.
+
+    For r = p/q, k_l is the largest k with p * n_l^k <= q.  A float
+    logarithm only seeds k; integer comparisons then move it to the exact
+    answer, so a boundary scale r = n_l^-k lands on the correct side and a
+    deep scale costs one big-integer power rather than k multiplications.
+    """
     scale = as_scale(r)
     if not 0 < scale <= 1:
         raise ScaleOutOfRange(f"scale must lie in (0, 1], got {scale}")
+    p, q = scale.numerator, scale.denominator
+    log_ratio = math.log(q) - math.log(p)
     ks: list[int] = []
     for n in s.bases:
-        # largest k with scale * n^k <= 1, i.e. scale <= n^-k
-        k = 0
-        acc = scale
-        while acc * n <= 1:
-            acc *= n
+        k = max(0, int(log_ratio / math.log(n)))
+        bound = p * n**k
+        while bound > q:
+            k -= 1
+            bound //= n
+        while bound * n <= q:
             k += 1
+            bound *= n
         ks.append(k)
     for a, b in zip(ks, ks[1:]):
         if a < b:

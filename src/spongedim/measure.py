@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -94,6 +96,23 @@ class BernoulliMeasure:
             raise DigitOutOfRange(f"prefix length {l} is outside [0, {self.sponge.d}]")
         return self._prefix_mass[l].get(tuple(p), Fraction(0))
 
+    @cached_property
+    def log_factors(self) -> tuple[dict[DigitTuple, float], ...]:
+        """log_factors[l][t] is the log of P(t[:l+1] | t[:l]), for 0 <= l < d.
+
+        Keyed by the whole digit tuple, so a word entry looks its factor up
+        without slicing.  Built on first use: measures that never ask for a
+        cube mass in log space pay nothing.
+        """
+        tables = []
+        for l in range(self.sponge.d):
+            logs: dict[Prefix, float] = {}
+            for p in self.sponge.level_sets[l + 1]:
+                c = self._prefix_mass[l + 1][p] / self._prefix_mass[l][p[:l]]
+                logs[p] = _rational_log(c).log_value
+            tables.append({t: logs[t[: l + 1]] for t in self.sponge.digits})
+        return tuple(tables)
+
 
 def coordinate_uniform(s: Sponge) -> BernoulliMeasure:
     """The measure that splits mass evenly at every coordinate refinement.
@@ -133,40 +152,26 @@ def cube_measure(
 
     The cube pins coordinate l for the first k_l(r) positions, and its mass
     is the product over those positions of the one-step conditional
-    probabilities p(i_{t,l} | i_{t,1}..i_{t,l-1}).  The exact product is
-    carried only while the factor count stays within ``exact_budget``.
+    probabilities p(i_{t,l} | i_{t,1}..i_{t,l-1}).  ``log_value`` sums their
+    logs from the measure's ``log_factors`` table, coordinate by coordinate
+    and position by position; the exact product is formed only while the
+    factor count stays within ``exact_budget`` (0 leaves it out whenever a
+    factor is pinned).
     """
     s = m.sponge
     ks = scale_exponents(s, r)
     word = _checked_word(s, w, ks.k[0])
-    total_factors = sum(ks.k)
-    exact: Fraction | None = Fraction(1) if total_factors <= exact_budget else None
     log_value = 0.0
-    for l in range(s.d):
-        for t in range(ks.k[l]):
-            c = conditional_prob(m, word[t][:l], word[t][l])
-            if c == 0:
-                raise ZeroMeasure(
-                    f"word entry {t} leaves the support at coordinate {l + 1}"
-                )
-            log_value += math.log(c)
-            if exact is not None:
-                exact *= c
+    for table, k in zip(m.log_factors, ks.k):
+        for x in map(table.__getitem__, word[:k]):
+            log_value += x
+    exact = None
+    if sum(ks.k) <= exact_budget:
+        exact = Fraction(1)
+        for l, k in enumerate(ks.k):
+            for t in word[:k]:
+                exact *= conditional_prob(m, t[:l], t[l])
     return RationalLog(exact, log_value)
-
-
-def _interval_sq_bounds(
-    c: Fraction, lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """(min, max) squared distance from a point coordinate to an interval."""
-    if c < lo:
-        near = lo - c
-    elif c > hi:
-        near = c - hi
-    else:
-        near = Fraction(0)
-    far = max(c - lo, hi - c)
-    return near * near, far * far
 
 
 def ball_measure_bounds(
@@ -184,6 +189,13 @@ def ball_measure_bounds(
     without descending, so the enumeration usually stays far below |D|^depth.
     Both brackets are monotone in ``depth``: deeper runs can only tighten.
     A radius of zero degenerates to (0, mass of cylinders through the point).
+
+    The walk is in integers.  With centre coordinate c_l = a_l/b_l, a box's
+    corners at a level are numerators over b_l * n_l^level, and squared
+    distances are compared to the radius after multiplying both sides by
+    the squares of those denominators (constants built per level reached).
+    Masses are numerators over Q^level, Q the lcm of the weight
+    denominators; the two brackets become fractions once, at the end.
     """
     s = m.sponge
     if depth < 0:
@@ -194,42 +206,75 @@ def ball_measure_bounds(
     rad = Fraction(radius) if isinstance(radius, (int, Fraction)) else as_scale(radius)
     if rad < 0:
         raise ScaleOutOfRange(f"radius must be >= 0, got {rad}")
-    r2 = rad * rad
+    cb = [x.denominator for x in c]
+    q_mass = math.lcm(*(v.denominator for v in m.weights.values()))
+    # per digit: the child's corner offsets b_l * t_l and its mass numerator
+    children = []
+    for t in s.digits:
+        w = m.weights[t]
+        children.append((tuple(map(mul, cb, t)), w.numerator * (q_mass // w.denominator)))
+    # per level reached: centre numerators, distance weights, radius term,
+    # and the mass numerators that level adds to each bracket
+    levels: list[tuple[list[int], list[int], int]] = []
+    lower: list[int] = []
+    upper: list[int] = []
 
-    lower = Fraction(0)
-    upper = Fraction(0)
+    def level_constants(level: int) -> tuple[list[int], list[int], int]:
+        dens = [b * n**level for b, n in zip(cb, s.bases)]
+        total = math.prod(dn * dn for dn in dens)
+        weights = [total // (dn * dn) * rad.denominator**2 for dn in dens]
+        xs = [x.numerator * n**level for x, n in zip(c, s.bases)]
+        return xs, weights, total * rad.numerator**2
+
     visited = 0
-    # (level, per-coordinate numerators over n_l^level, cylinder mass)
-    stack = [(0, (0,) * s.d, Fraction(1))]
+    # (level, per-coordinate lower corners over b_l * n_l^level, mass over Q^level)
+    stack = [(0, (0,) * s.d, 1)]
     while stack:
-        level, nums, mass = stack.pop()
+        level, corners, mass = stack.pop()
         visited += 1
         if visited > cap:
             raise EnumerationTooLarge(f"ball bracket enumeration exceeded cap {cap}")
-        min_sq = Fraction(0)
-        max_sq = Fraction(0)
-        for l in range(s.d):
-            den = s.bases[l] ** level
-            lo = Fraction(nums[l], den)
-            hi = Fraction(nums[l] + 1, den)
-            near, far = _interval_sq_bounds(c[l], lo, hi)
-            min_sq += near
-            max_sq += far
+        if level == len(levels):
+            levels.append(level_constants(level))
+            lower.append(0)
+            upper.append(0)
+        xs, weights, r2 = levels[level]
+        min_sq = 0
+        max_sq = 0
+        for x, lo, b, wt in zip(xs, corners, cb, weights):
+            hi = lo + b
+            if x < lo:
+                near, far = lo - x, hi - x
+            elif x > hi:
+                near, far = x - hi, x - lo
+            else:
+                near, far = 0, max(x - lo, hi - x)
+            min_sq += near * near * wt
+            max_sq += far * far * wt
         meets_ball = min_sq < r2 if rad > 0 else min_sq == 0
         if not meets_ball:
             continue
         if rad > 0 and max_sq <= r2:
-            lower += mass
-            upper += mass
+            lower[level] += mass
+            upper[level] += mass
             continue
         if level == depth:
-            upper += mass
+            upper[level] += mass
             continue
-        for t in s.digits:
-            child = tuple(nums[l] * s.bases[l] + t[l] for l in range(s.d))
-            stack.append((level + 1, child, mass * m.weights[t]))
+        for offsets, weight in children:
+            child = tuple(lo * n + o for lo, n, o in zip(corners, s.bases, offsets))
+            stack.append((level + 1, child, mass * weight))
 
-    return _rational_log(lower), _rational_log(upper)
+    # over Q^deepest level reached, not Q^depth: the walk may stop early
+    den = q_mass ** (len(levels) - 1)
+
+    def bracket(sums: list[int]) -> RationalLog:
+        num = 0
+        for level_sum in sums:
+            num = num * q_mass + level_sum
+        return _rational_log(Fraction(num, den))
+
+    return bracket(lower), bracket(upper)
 
 
 def _rational_log(x: Fraction) -> RationalLog:

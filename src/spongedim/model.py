@@ -194,16 +194,12 @@ def satisfies_vssc(s: Sponge) -> bool:
     For every level l, any two digit tuples that agree on the first l-1
     coordinates and differ at coordinate l must differ there by more than 1.
     """
-    for l in range(s.d):
-        groups: dict[Prefix, set[int]] = {}
-        for t in s.digits:
-            groups.setdefault(t[:l], set()).add(t[l])
-        for values in groups.values():
-            ordered = sorted(values)
-            for a, b in zip(ordered, ordered[1:]):
-                if b - a <= 1:
-                    return False
-    return True
+    return all(
+        b - a > 1
+        for level in s.fibres
+        for values in level.values()
+        for a, b in zip(values, values[1:])
+    )
 
 
 def sponge_to_json(s: Sponge) -> str:

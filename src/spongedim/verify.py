@@ -30,6 +30,7 @@ from .errors import (
     ScaleOutOfRange,
     UnsupportedBoundaryTangent,
     VsscNotSatisfied,
+    ZeroMeasure,
 )
 from .cubes import (
     DEFAULT_CAP,
@@ -622,6 +623,14 @@ def _word_label(word: Sequence[Sequence[int]]) -> str:
     return ";".join(",".join(str(e) for e in t) for t in word)
 
 
+def _check_scan_size(samples: int, depth: int) -> None:
+    """Refuse a scan whose words could hold more than DEFAULT_CAP entries."""
+    if samples * depth > DEFAULT_CAP:
+        raise EnumerationTooLarge(
+            f"{samples} samples at depth {depth} exceed the cap of {DEFAULT_CAP}"
+        )
+
+
 def scan_cube_ratios(
     s: Sponge,
     m: BernoulliMeasure,
@@ -634,8 +643,8 @@ def scan_cube_ratios(
     Draws a random word and a scale pair (R, r) = (n_1^-a, n_1^-b) with
     a < b <= depth, and checks
     n_d^-d (R/r)^lower <= mass(R)/mass(r) <= n_d^d (R/r)^assouad
-    in log space.  Scales align to powers of the first base so the masses
-    stay inside the exact-arithmetic budget.
+    in log space, from the measure's log-factor table.  Refused before any
+    word is drawn when samples * depth exceeds DEFAULT_CAP.
     """
     if not s.strict_bases:
         raise NonStrictBases(
@@ -643,6 +652,7 @@ def scan_cube_ratios(
         )
     if samples < 1 or depth < 1:
         raise ScaleOutOfRange("samples and depth must be positive")
+    _check_scan_size(samples, depth)
     dim_hi = assouad_dim(s)
     dim_lo = lower_dim(s)
     nd = s.bases[-1]
@@ -663,8 +673,8 @@ def scan_cube_ratios(
         big = Fraction(1, s.bases[0] ** a)
         small = Fraction(1, s.bases[0] ** b)
         log_ratio = (
-            cube_measure(m, word, big).log_value
-            - cube_measure(m, word, small).log_value
+            cube_measure(m, word, big, exact_budget=0).log_value
+            - cube_measure(m, word, small, exact_budget=0).log_value
         )
         gap = (b - a) * log_n1
         log_upper = math.log(c1) + dim_hi * gap
@@ -701,16 +711,18 @@ def scan_cube_ratios(
 def _tau_point(
     s: Sponge, prefix: Sequence[DigitTuple], tail: DigitTuple
 ) -> tuple[Fraction, ...]:
-    """Exact image of the word prefix followed by the constant tail."""
+    """Exact image of the word prefix followed by the constant tail.
+
+    Coordinate l is one numerator over n_l^depth * (n_l - 1): the prefix
+    read as a base-n_l integer, times n_l - 1, plus the tail digit.
+    """
     depth = len(prefix)
     point = []
-    for l in range(s.d):
-        n = s.bases[l]
-        x = Fraction(0)
-        for t, digit in enumerate(prefix, start=1):
-            x += Fraction(digit[l], n**t)
-        x += Fraction(tail[l], n**depth * (n - 1))
-        point.append(x)
+    for l, n in enumerate(s.bases):
+        num = 0
+        for digit in prefix:
+            num = num * n + digit[l]
+        point.append(Fraction(num * (n - 1) + tail[l], n**depth * (n - 1)))
     return tuple(point)
 
 
@@ -727,7 +739,8 @@ def scan_ball_ratios_vssc(
     pairs (n_1^-a / 2, n_1^-b / 2) with a < b < depth.  Ball masses are
     known only as brackets, so each side is tested conservatively: a
     violation is recorded only when even the favorable ends of the brackets
-    break the bound.
+    break the bound.  Refused before any word is drawn when
+    samples * depth exceeds DEFAULT_CAP.
     """
     if not satisfies_vssc(s):
         raise VsscNotSatisfied(
@@ -736,6 +749,7 @@ def scan_ball_ratios_vssc(
         )
     if samples < 1 or depth < 2:
         raise ScaleOutOfRange("need samples >= 1 and depth >= 2")
+    _check_scan_size(samples, depth)
     m = coordinate_uniform(s)
     dim_hi = assouad_dim(s)
     dim_lo = lower_dim(s)
@@ -900,7 +914,8 @@ class _DepthPlan:
         A pair's ratio is the larger of its two quotients, so the maximum is
         the largest quotient in either direction.  The witness is the pair
         with the smallest (key, coordinate) among those with a quotient
-        equal to it.
+        equal to it.  A cube mass that underflows to 0.0 cannot enter a
+        quotient and raises ZeroMeasure.
         """
         tables = {
             level: [float(m.prefix_mass(p)) for p in self.sponge.level_sets[level]]
@@ -919,7 +934,12 @@ class _DepthPlan:
         runs += [(l, b, a) for l, a, b in runs]
         if not runs:
             return DepthRatioRow(depth, 0, None, None)
-        tops = [max(quotients(num, den)) for _, num, den in runs]
+        try:
+            tops = [max(quotients(num, den)) for _, num, den in runs]
+        except ZeroDivisionError:
+            raise ZeroMeasure(
+                f"cube masses underflow the float range at depth {depth}"
+            ) from None
         best = max(tops)
 
         def least_tied_key(l: int, num: array, den: array) -> int:

@@ -71,6 +71,169 @@ def brute_cube_measure(m: BernoulliMeasure, word, r) -> Fraction:
     return recurse(0, Fraction(1))
 
 
+def cube_factors(m: BernoulliMeasure, word, r) -> list[Fraction]:
+    """The one-step conditional probabilities of the cube of ``word`` at ``r``.
+
+    Coordinate outer, position inner, each P(t[:l+1]) / P(t[:l]) with the
+    prefix masses summed from the weights, in the order the library sums
+    their logs.  Their product is the cube mass.
+    """
+    s = m.sponge
+
+    def mass(p):
+        return sum(w for t, w in m.weights.items() if t[: len(p)] == p)
+
+    k = scale_exponents(s, r).k
+    return [
+        mass(t[: l + 1]) / mass(t[:l])
+        for l in range(s.d)
+        for t in word[: k[l]]
+    ]
+
+
+def log_sum(factors) -> float:
+    """The float sum of math.log over ``factors``, left to right from 0.0."""
+    total = 0.0
+    for c in factors:
+        total += math.log(c)
+    return total
+
+
+def scale_depths(s: Sponge, r: Fraction) -> tuple[int, ...]:
+    """Largest k with r * n^k <= 1 per base, by repeated Fraction products."""
+    ks = []
+    for n in s.bases:
+        k = 0
+        acc = r
+        while acc * n <= 1:
+            acc *= n
+            k += 1
+        ks.append(k)
+    return tuple(ks)
+
+
+def scan_cube_ratios(s: Sponge, m: BernoulliMeasure, samples: int, seed: int,
+                     depth: int = 40):
+    """The cube sandwich scan with masses from Fraction conditional factors.
+
+    Draws the same samples as ``scan_cube_ratios`` and builds each mass log
+    from ``cube_factors``, so only the bookkeeping is shared with the library.
+    """
+    import random
+
+    from spongedim import assouad_dim, lower_dim
+    from spongedim.verify import (
+        _EPS, ScanReport, ScanViolation, _exp, _is_coordinate_uniform, _word_label,
+    )
+
+    dim_hi = assouad_dim(s)
+    dim_lo = lower_dim(s)
+    nd = s.bases[-1]
+    c1 = float(nd**s.d)
+    c0 = float(Fraction(1, nd**s.d))
+    log_n1 = math.log(s.bases[0])
+    digits = sorted(s.digit_set)
+    rng = random.Random(seed)
+    worst_lo = worst_hi = math.inf
+    violations = []
+    rows = []
+    for _ in range(samples):
+        a = rng.randrange(0, depth)
+        b = rng.randrange(a + 1, depth + 1)
+        word = tuple(rng.choice(digits) for _ in range(b))
+        big = Fraction(1, s.bases[0] ** a)
+        small = Fraction(1, s.bases[0] ** b)
+        log_ratio = (
+            log_sum(cube_factors(m, word, big)) - log_sum(cube_factors(m, word, small))
+        )
+        gap = (b - a) * log_n1
+        log_upper = math.log(c1) + dim_hi * gap
+        log_lower = math.log(c0) + dim_lo * gap
+        up_slack = log_upper - log_ratio
+        lo_slack = log_ratio - log_lower
+        worst_hi = min(worst_hi, up_slack)
+        worst_lo = min(worst_lo, lo_slack)
+        ratio = _exp(log_ratio)
+        rows.append(
+            (_word_label(word), small, big, ratio, _exp(log_lower), _exp(log_upper))
+        )
+        if up_slack < -_EPS:
+            violations.append(
+                ScanViolation(word, small, big, ratio, _exp(log_upper), "upper")
+            )
+        if lo_slack < -_EPS:
+            violations.append(
+                ScanViolation(word, small, big, ratio, _exp(log_lower), "lower")
+            )
+    return ScanReport(
+        kind="cube-ratio",
+        samples=samples,
+        worst_lower_slack=worst_lo,
+        worst_upper_slack=worst_hi,
+        violations=tuple(violations),
+        constants_used=(c0, c1),
+        exponents=(dim_lo, dim_hi),
+        coordinate_uniform_measure=_is_coordinate_uniform(s, m),
+        rows=tuple(rows),
+    )
+
+
+def _interval_sq_bounds(c: Fraction, lo: Fraction, hi: Fraction):
+    """(min, max) squared distance from a point coordinate to an interval."""
+    if c < lo:
+        near = lo - c
+    elif c > hi:
+        near = c - hi
+    else:
+        near = Fraction(0)
+    far = max(c - lo, hi - c)
+    return near * near, far * far
+
+
+def ball_measure_bounds(m: BernoulliMeasure, center, radius, depth: int):
+    """Ball-mass brackets with Fraction box corners, distances and masses.
+
+    The same walk and decisions as ``ball_measure_bounds``, node by node in
+    exact rationals: a box that meets the open ball (touches the point at
+    radius 0) counts toward the upper bracket, one inside the closed ball
+    toward both, and a box still straddling at ``depth`` toward the upper.
+    """
+    from spongedim.measure import _rational_log
+
+    s = m.sponge
+    c = tuple(Fraction(x) for x in center)
+    rad = Fraction(radius)
+    r2 = rad * rad
+    lower = Fraction(0)
+    upper = Fraction(0)
+    stack = [(0, (0,) * s.d, Fraction(1))]
+    while stack:
+        level, nums, mass = stack.pop()
+        min_sq = Fraction(0)
+        max_sq = Fraction(0)
+        for l in range(s.d):
+            den = s.bases[l] ** level
+            near, far = _interval_sq_bounds(
+                c[l], Fraction(nums[l], den), Fraction(nums[l] + 1, den)
+            )
+            min_sq += near
+            max_sq += far
+        meets_ball = min_sq < r2 if rad > 0 else min_sq == 0
+        if not meets_ball:
+            continue
+        if rad > 0 and max_sq <= r2:
+            lower += mass
+            upper += mass
+            continue
+        if level == depth:
+            upper += mass
+            continue
+        for t in s.digits:
+            child = tuple(nums[l] * s.bases[l] + t[l] for l in range(s.d))
+            stack.append((level + 1, child, mass * m.weights[t]))
+    return _rational_log(lower), _rational_log(upper)
+
+
 def alphabet_intervals(base: int, alphabet, level: int) -> list[tuple[Fraction, Fraction]]:
     """Level-``level`` intervals of the IFS {x -> (x + j)/base : j in alphabet}."""
     out = []

@@ -312,6 +312,23 @@ class TestDoubling:
         assert doc["all_non_doubling"] is True
         assert doc["results"][0]["verdict"] == "NonDoublingCertificate"
 
+    def test_underflowing_masses_refused(self, capsys, spec_dir, tmp_path):
+        s = sd.load_sponge(str(spec_dir / "carpet_24.json"))
+        tiny = Fraction(1, 10**200)
+        m = sd.BernoulliMeasure(
+            s, {(0, 1): tiny, (1, 1): Fraction(1, 2), (1, 3): Fraction(1, 2) - tiny}
+        )
+        side = tmp_path / "tiny.json"
+        side.write_text(weights_to_json(m))
+        rc, out, err = invoke(
+            capsys, "doubling", str(spec_dir / "carpet_24.json"),
+            "--measure", str(side), "--max-depth", "3",
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("ZeroMeasure: cube masses underflow")
+        assert "Traceback" not in err
+
     def test_measure_and_grid_exclusive(self, capsys, spec_dir, tmp_path):
         rc, _, _ = invoke(
             capsys,
@@ -462,7 +479,7 @@ class TestRender:
 
 
 class TestSizeCaps:
-    """Oversized levels and grids are refused before any sized work starts."""
+    """Oversized levels, grids and scans are refused before any sized work starts."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -472,6 +489,10 @@ class TestSizeCaps:
             ("tangent", "sponge_234.json", "--scale", "1/16", "--mode", "max",
              "--level", "1000000000"),
             ("doubling", "sponge_234.json", "--grid", "1/200", "--max-depth", "1"),
+            ("scan", "sponge_234.json", "--samples", "1", "--seed", "1",
+             "--depth", "100000000"),
+            ("ball-scan", "carpet_vssc_34.json", "--samples", "1", "--seed", "1",
+             "--depth", "100000000"),
         ],
     )
     def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv):

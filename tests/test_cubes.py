@@ -48,6 +48,30 @@ class TestScaleExponents:
             assert Fraction(1, n ** (k + 1)) < r <= Fraction(1, n**k)
         assert list(exps.k) == sorted(exps.k, reverse=True)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        num=st.integers(1, 10**40),
+        den=st.integers(1, 10**40),
+        seed=st.integers(0, 10**5),
+    )
+    def test_matches_fraction_loop(self, num, den, seed):
+        s = random_strict_sponge(random.Random(seed))
+        r = Fraction(min(num, den), max(num, den))
+        assert sd.scale_exponents(s, r).k == oracle.scale_depths(s, r)
+
+    def test_boundaries_match_fraction_loop(self, sponge_234, carpet_24):
+        """r = n^-k and its nearest neighbours on either side, up to k = 120."""
+        for s in (sponge_234, carpet_24):
+            for n in s.bases:
+                for k in range(121):
+                    for r in (
+                        Fraction(1, n**k),
+                        Fraction(1, n**k + 1),
+                        Fraction(2, 2 * n**k - 1),
+                    ):
+                        if r <= 1:
+                            assert sd.scale_exponents(s, r).k == oracle.scale_depths(s, r)
+
 
 class TestApproximateCube:
     def test_constraint_truncation(self, sponge_234):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,35 @@ class TestCubeMeasure:
             math.log(got.exact), rel=1e-12
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**5), a=st.integers(0, 4), extra=st.integers(0, 2))
+    def test_log_value_is_the_ordered_factor_sum(self, seed, a, extra):
+        """The table's logs add up as the Fraction factors' logs do, bit for bit."""
+        rng = random.Random(seed)
+        s = random_strict_sponge(rng, max_base=5, max_digits=6)
+        m = _random_measure(rng, s)
+        q = rng.randint(1, s.bases[0] ** a)
+        r = Fraction(rng.randint(1, q), q)
+        k1 = sd.scale_exponents(s, r).k[0]
+        word = tuple(rng.choice(s.digits) for _ in range(k1 + extra))
+        factors = oracle.cube_factors(m, word, r)
+        got = sd.cube_measure(m, word, r)
+        assert got.log_value == oracle.log_sum(factors)
+        assert got.exact == oracle.brute_cube_measure(m, word, r)
+        log_only = sd.cube_measure(m, word, r, exact_budget=0)
+        assert log_only.log_value == got.log_value
+        assert log_only.exact == (1 if not factors else None)
+
+    def test_factor_below_float_range_has_a_finite_log(self, carpet_24):
+        tiny = Fraction(1, 10**400)
+        m = sd.BernoulliMeasure(
+            carpet_24,
+            {(0, 1): tiny, (1, 1): Fraction(1, 2), (1, 3): Fraction(1, 2) - tiny},
+        )
+        got = sd.cube_measure(m, [(0, 1), (0, 1)], Fraction(1, 4))
+        assert got.exact == tiny**2
+        assert got.log_value == pytest.approx(-800 * math.log(10), rel=1e-12)
+
     def test_deep_scan_leaves_log_only(self, sponge_234):
         m = sd.coordinate_uniform(sponge_234)
         word = [(1, 1, 0)] * 200
@@ -204,6 +234,13 @@ class TestBallBrackets:
         lo, up = sd.ball_measure_bounds(m, (Fraction(1, 2), Fraction(1, 2)), 2, 3)
         assert lo.exact == 1
         assert up.exact == 1
+
+    def test_huge_depth_costs_only_the_levels_reached(self, carpet_24):
+        m = sd.coordinate_uniform(carpet_24)
+        start = time.perf_counter()
+        lo, up = sd.ball_measure_bounds(m, (Fraction(1, 2), Fraction(1, 2)), 2, 10**9)
+        assert time.perf_counter() - start < 0.5
+        assert lo.exact == up.exact == 1
 
     def test_degenerate_ball(self, carpet_23):
         m = sd.coordinate_uniform(carpet_23)
@@ -240,6 +277,46 @@ class TestBallBrackets:
         assert float(up.exact) == 0.0
         assert up.log_value == pytest.approx(-2250 * math.log(2), rel=1e-12)
         assert lo.exact == 0 and lo.log_value == -math.inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**5), depth=st.integers(0, 4))
+    def test_integer_brackets_equal_fraction_oracle(self, seed, depth):
+        """Lattice-integer brackets equal the Fraction walk's, exact and log."""
+        rng = random.Random(seed)
+        s = random_strict_sponge(rng, max_base=5, max_digits=6)
+        m = _random_measure(rng, s)
+        if rng.random() < 0.5:
+            # lattice points make the inside/outside comparisons tie
+            j = rng.randint(0, 3)
+            center = tuple(Fraction(rng.randint(0, n**j), n**j) for n in s.bases)
+        else:
+            center = tuple(
+                Fraction(rng.randint(-3, 15), rng.randint(1, 12)) for _ in s.bases
+            )
+        radius = rng.choice(
+            [0, Fraction(1, s.bases[0] ** rng.randint(0, 3)),
+             Fraction(rng.randint(1, 12), rng.randint(1, 24))]
+        )
+        got = sd.ball_measure_bounds(m, center, radius, depth)
+        assert got == oracle.ball_measure_bounds(m, center, radius, depth)
+
+    def test_far_corner_on_the_sphere_counts_inside(self):
+        """Sides 1/3 and 1/4 put a far corner at distance exactly 5/12."""
+        s = sd.validate_sponge((3, 4), [(i, j) for i in range(3) for j in range(4)])
+        m = sd.coordinate_uniform(s)
+        center = (Fraction(1, 3), Fraction(1, 4))
+        for depth in (1, 2):
+            got = sd.ball_measure_bounds(m, center, Fraction(5, 12), depth)
+            assert got == oracle.ball_measure_bounds(m, center, Fraction(5, 12), depth)
+        # the four level-1 boxes at the centre lie in the closed ball
+        assert got[0].exact >= Fraction(4, 12)
+
+
+def _random_measure(rng: random.Random, s: sd.Sponge) -> sd.BernoulliMeasure:
+    ints = [rng.randint(1, 20) for _ in s.digits]
+    return sd.BernoulliMeasure(
+        s, {t: Fraction(a, sum(ints)) for t, a in zip(s.digits, ints)}
+    )
 
 
 class TestWeightFiles:

@@ -13,6 +13,7 @@ import _oracles as oracle
 from conftest import random_strict_sponge
 from spongedim.verify import (
     Mode,
+    _tau_point,
     audit_to_json,
     convergence_to_json,
     doubling_report_to_json,
@@ -69,6 +70,19 @@ class TestCubeRatioScan:
         assert lines[0] == "word,r,R,ratio,lower_bound,upper_bound"
         assert len(lines) == 26
 
+    @pytest.mark.parametrize(
+        "name, seed, samples, depth",
+        [("sponge_234", 1, 30, 40), ("sponge_234", 2, 6, 300),
+         ("carpet_24", 3, 30, 40), ("carpet_vssc", 4, 20, 60)],
+    )
+    def test_matches_fraction_oracle(self, request, name, seed, samples, depth):
+        """Reports equal, by repr, the scan over Fraction conditional factors."""
+        s = request.getfixturevalue(name)
+        grid_vector = next(sd.positive_weight_grid(s, Fraction(1, len(s.digits) + 2)))
+        for m in (sd.coordinate_uniform(s), grid_vector):
+            got = sd.scan_cube_ratios(s, m, samples, seed, depth)
+            assert repr(got) == repr(oracle.scan_cube_ratios(s, m, samples, seed, depth))
+
 
 class TestBallRatioScan:
     def test_separated_carpet_is_clean(self, carpet_vssc):
@@ -76,6 +90,19 @@ class TestBallRatioScan:
         assert rep.violations == ()
         assert rep.worst_lower_slack >= 0
         assert rep.worst_upper_slack >= 0
+
+    def test_centres_are_exact_word_images(self, carpet_vssc, sponge_234):
+        rng = random.Random(8)
+        for s in (carpet_vssc, sponge_234):
+            for depth in (0, 1, 5, 12):
+                prefix = [rng.choice(s.digits) for _ in range(depth)]
+                tail = rng.choice(s.digits)
+                expected = tuple(
+                    sum(Fraction(t[l], n ** (i + 1)) for i, t in enumerate(prefix))
+                    + Fraction(tail[l], n**depth * (n - 1))
+                    for l, n in enumerate(s.bases)
+                )
+                assert _tau_point(s, prefix, tail) == expected
 
     def test_separation_required(self, sponge_234):
         with pytest.raises(sd.VsscNotSatisfied):
