@@ -10,6 +10,7 @@ errors, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -237,15 +238,17 @@ def _cmd_ball_scan(args: argparse.Namespace) -> int:
 def _cmd_doubling(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
     if args.grid is not None:
-        measures = list(positive_weight_grid(s, args.grid))
-        reports = doubling_reports(s, measures, args.max_depth)
+        # the sweep draws from its own copy of the grid, one measure ahead
+        # of this loop at most, so no measure outlives its report
+        grid, drawn = itertools.tee(positive_weight_grid(s, args.grid))
+        reports = doubling_reports(s, drawn, args.max_depth)
         results = [
             {
                 "weights": weights_to_doc(m),
                 "growth_rate": report.growth_rate,
                 "verdict": report.verdict.value,
             }
-            for m, report in zip(measures, reports)
+            for m, report in zip(grid, reports)
         ]
         doc = {
             "schema_version": 1,
@@ -253,7 +256,8 @@ def _cmd_doubling(args: argparse.Namespace) -> int:
             "max_depth": args.max_depth,
             "vectors": len(results),
             "all_non_doubling": all(
-                report.verdict is DoublingVerdict.NON_DOUBLING for report in reports
+                result["verdict"] == DoublingVerdict.NON_DOUBLING.value
+                for result in results
             ),
             "results": results,
         }

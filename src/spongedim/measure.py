@@ -344,7 +344,8 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
     ``step`` must be 1/q for an integer q >= |D|.  Yields one measure per
     assignment of multiples a/q (a >= 1) to the sorted digits summing to 1,
     in lexicographic order, so downstream sweeps are deterministic.  The
-    C(q-1, |D|-1) vectors are counted first and refused above DEFAULT_CAP.
+    C(q-1, |D|-1) vectors are counted, and refused above DEFAULT_CAP, when
+    this is called; the measures are built only as they are drawn.
     """
     h = as_scale(step)
     if h.numerator != 1 or h.denominator < 2:
@@ -361,9 +362,13 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
         raise EnumerationTooLarge(
             f"grid step 1/{q} gives {count} weight vectors, over the cap {DEFAULT_CAP}"
         )
+    return _grid_measures(s, digits, q)
+
+
+def _grid_measures(s: Sponge, digits: list[DigitTuple], q: int):
     # a vector is a choice of m - 1 cut points in 1..q-1; cuts in
     # lexicographic order give the parts in lexicographic order
-    for cuts in itertools.combinations(range(1, q), m - 1):
+    for cuts in itertools.combinations(range(1, q), len(digits) - 1):
         bounds = (0, *cuts, q)
         yield BernoulliMeasure(
             s, {t: Fraction(b - a, q) for t, a, b in zip(digits, bounds, bounds[1:])}

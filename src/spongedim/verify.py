@@ -16,13 +16,12 @@ import itertools
 import json
 import math
 import random
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import eq, itemgetter, mul, truediv
-from typing import Callable, Sequence
+from operator import eq, itemgetter, mul, or_, truediv
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     EnumerationTooLarge,
@@ -136,12 +135,6 @@ class TangentMap:
         )
         offsets = tuple(lo for lo, _ in geometric_box(s, q))
         return cls(q, scales, offsets, min(scales), max(scales))
-
-    def apply_point(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            self.scales[l] * (Fraction(x[l]) - self.offsets[l])
-            for l in range(len(self.scales))
-        )
 
     def apply_box(self, box: Box) -> Box:
         return tuple(
@@ -851,14 +844,49 @@ class DoublingReport:
     window_start: int | None
 
 
-class _DepthPlan:
-    """Cube keys and adjacent pairs at one depth; nothing here reads a measure.
+def _moves(level_set: Sequence[tuple[int, ...]], l: int, n: int):
+    """Index pairs (i, u) of one position's tuples, one step up in coordinate l.
 
-    Cubes are numbered in word order (first position slowest, prefixes
-    sorted at each position), which is the order ``max_ratio_row`` builds
-    their masses in.  ``pairs[l]`` holds two arrays of cube numbers: the
-    cubes that have a neighbour one step up in coordinate l, in word order,
-    and those neighbours.
+    ``steps`` pair a tuple whose l-digit c is below n - 1 with the same tuple
+    at c + 1; ``wraps`` pair a tuple at n - 1 with the same tuple at 0.  Only
+    pairs whose both tuples are in ``level_set`` are kept.
+    """
+    index = {p: i for i, p in enumerate(level_set)}
+    steps: list[tuple[int, int]] = []
+    wraps: list[tuple[int, int]] = []
+    for i, p in enumerate(level_set):
+        u = index.get(p[:l] + ((p[l] + 1) % n,) + p[l + 1 :])
+        if u is not None:
+            (steps if p[l] < n - 1 else wraps).append((i, u))
+    return steps, wraps
+
+
+class _DepthPlan:
+    """Adjacent cube pairs at one depth as slices; nothing here reads a measure.
+
+    Cubes are numbered in word order, the order ``max_ratio_row`` builds
+    their masses in: position t of a word picks tuple number i_t of
+    L_t = level_sets[levels[t]], and the cube's number is sum_t i_t * W_t,
+    with W_t the product of |L_u| over u > t.
+
+    The neighbour one step up in coordinate l (pinned at positions
+    t < k_l) adds one to the l-digit of the last position j < k_l whose
+    l-digit is below n_l - 1, wraps the l-digits of positions j+1..k_l-1
+    from n_l - 1 to 0, and changes nothing else; every moved tuple must be
+    in its L_t.  So each j and each choice of those moves (a "middle")
+    gives lower cubes P * B_j + a + f and upper cubes P * B_j + b + f,
+    where B_j = |L_j| * W_j, P numbers the positions before j and f the
+    W_{k_l - 1} suffixes after k_l - 1.  A middle is kept as whichever is
+    fewer: one strided slice per suffix or one contiguous slice per prefix.
+    ``slices`` holds (l, lower, upper, varied): two ``slice`` objects into
+    the masses and the range of positions whose tuples vary along them.
+    The plan holds nothing per cube.
+
+    The witness compares packed grid keys sum_l g_l * stride_l with
+    stride_l = prod_{j>l} (n_j^k_j + 1): the radix leaves room for g_l + 1,
+    so key order is lexicographic order of the coordinates and
+    key + stride_l is the neighbour up in l.  A key is the sum over
+    positions of what each position's tuple adds to it.
     """
 
     def __init__(self, s: Sponge, k: int, cap: int) -> None:
@@ -873,36 +901,69 @@ class _DepthPlan:
         self.ks = ks
         # position t pins the first levels[t] coordinates
         self.levels = [_column_width(ks, t) for t in range(1, ks[0] + 1)]
+        sets = [s.level_sets[level] for level in self.levels]
+        # blocks[t] = W_{t-1}: the number of cubes sharing positions before t
+        blocks = [1]
+        for level_set in reversed(sets):
+            blocks.append(blocks[-1] * len(level_set))
+        self.blocks = blocks[::-1]
         self.radices = [n**kl + 1 for n, kl in zip(s.bases, ks)]
         strides = [1] * s.d
         for l in range(s.d - 2, -1, -1):
             strides[l] = strides[l + 1] * self.radices[l + 1]
         self.strides = strides
-        # the same nesting as the masses in max_ratio_row, so that entry i
-        # of both lists belongs to cube number i
-        keys = [0]
-        for t, level in enumerate(self.levels):
+        # deltas[t][i]: the key added by tuple i at position t, less that
+        # of tuple 0; the key of cube 0 is zero_key
+        self.deltas = []
+        self.zero_key = 0
+        for t, (level, level_set) in enumerate(zip(self.levels, sets)):
             scales = [
                 n ** (kl - 1 - t) * st
                 for n, kl, st in zip(s.bases[:level], ks, strides)
             ]
-            offsets = [sum(map(mul, p, scales)) for p in s.level_sets[level]]
-            keys = [a + c for a in keys for c in offsets]
-        self.keys = keys
-        # pair numbers are kept unboxed (they are bounded by the cap, keys
-        # are not); the dict and its int objects go when the plan is built
-        numbers = range(len(keys))
-        number = dict(zip(keys, numbers)).get
-        self.pairs = []
-        for st in strides:
-            up = list(map(number, map(st.__add__, keys)))
-            found = [j is not None for j in up]
-            self.pairs.append(
-                (
-                    array("l", itertools.compress(numbers, found)),
-                    array("l", itertools.compress(up, found)),
-                )
-            )
+            offsets = [sum(map(mul, p, scales)) for p in level_set]
+            self.zero_key += offsets[0]
+            self.deltas.append([c - offsets[0] for c in offsets])
+        self.slices: list[tuple[int, slice, slice, range]] = []
+        self.pair_count = 0
+        for l, (n, kl) in enumerate(zip(s.bases, ks)):
+            # (lower, upper) number parts of the wraps at positions j+1..kl-1
+            tail = [(0, 0)]
+            for j in range(kl - 1, -1, -1):
+                steps, wraps = _moves(sets[j], l, n)
+                w = self.blocks[j + 1]
+                middles = [(i * w + a, u * w + b) for i, u in steps for a, b in tail]
+                self._add_slices(l, middles, j, kl)
+                tail = [(i * w + a, u * w + b) for i, u in wraps for a, b in tail]
+                if not tail:
+                    break
+
+    def _add_slices(
+        self, l: int, middles: list[tuple[int, int]], j: int, kl: int
+    ) -> None:
+        total, block, run = self.blocks[0], self.blocks[j], self.blocks[kl]
+        prefixes = total // block
+        self.pair_count += len(middles) * prefixes * run
+        if run <= prefixes:  # one strided slice per suffix
+            varied = range(0, j)
+            for a, b in middles:
+                for f in range(run):
+                    lower = slice(a + f, total, block)
+                    self.slices.append((l, lower, slice(b + f, total, block), varied))
+        else:  # one contiguous slice per prefix
+            varied = range(kl, len(self.deltas))
+            for start in range(0, total, block):
+                for a, b in middles:
+                    lo, up = start + a, start + b
+                    lower, upper = slice(lo, lo + run, 1), slice(up, up + run, 1)
+                    self.slices.append((l, lower, upper, varied))
+
+    def key(self, number: int) -> int:
+        """Packed grid key of the cube with this word-order number."""
+        key = self.zero_key
+        for deltas, w in zip(self.deltas, self.blocks[1:]):
+            key += deltas[number // w % len(deltas)]
+        return key
 
     def coordinates(self, key: int) -> tuple[int, ...]:
         """Grid coordinates of the cube with this key."""
@@ -912,11 +973,14 @@ class _DepthPlan:
         """The row of one measure: its largest adjacent mass ratio and witness.
 
         A pair's ratio is the larger of its two quotients, so the maximum is
-        the largest quotient in either direction.  The witness is the pair
-        with the smallest (key, coordinate) among those with a quotient
-        equal to it.  A cube mass that underflows to 0.0 cannot enter a
-        quotient and raises ZeroMeasure.
+        the largest quotient in either direction over all slice pairs.  The
+        witness is the pair with the smallest (key, coordinate) among those
+        with a quotient equal to it; only slice pairs whose top equals the
+        maximum are read again to find it.  A cube mass that underflows to
+        0.0 cannot enter a quotient and raises ZeroMeasure.
         """
+        if not self.slices:
+            return DepthRatioRow(depth, 0, None, None)
         tables = {
             level: [float(m.prefix_mass(p)) for p in self.sponge.level_sets[level]]
             for level in set(self.levels)
@@ -924,37 +988,45 @@ class _DepthPlan:
         masses = [1.0]
         for level in self.levels:
             masses = [a * w for a in masses for w in tables[level]]
-        mass = masses.__getitem__
 
-        def quotients(num: array, den: array):
-            return map(truediv, map(mass, num), map(mass, den))
+        def top(lower: slice, upper: slice) -> float:
+            x, y = masses[lower], masses[upper]
+            return max(max(map(truediv, x, y)), max(map(truediv, y, x)))
 
-        # (coordinate, numerators, denominators): each pair in both directions
-        runs = [(l, a, b) for l, (a, b) in enumerate(self.pairs) if a]
-        runs += [(l, b, a) for l, a, b in runs]
-        if not runs:
-            return DepthRatioRow(depth, 0, None, None)
         try:
-            tops = [max(quotients(num, den)) for _, num, den in runs]
+            tops = [top(lower, upper) for _, lower, upper, _ in self.slices]
         except ZeroDivisionError:
             raise ZeroMeasure(
                 f"cube masses underflow the float range at depth {depth}"
             ) from None
         best = max(tops)
+        # Along a slice only the positions in ``varied`` change, and they
+        # are tuple 0 in its first cube, so the key of its i-th cube is the
+        # first cube's key plus shifts[varied][i].
+        shifts: dict[range, list[int]] = {}
 
-        def least_tied_key(l: int, num: array, den: array) -> int:
-            ties = map(eq, quotients(num, den), itertools.repeat(best))
-            lower = itertools.compress(self.pairs[l][0], ties)
-            return min(map(self.keys.__getitem__, lower))
+        def least_tied_key(lower: slice, upper: slice, varied: range) -> int:
+            x, y = masses[lower], masses[upper]
+            ties = map(
+                or_,
+                map(eq, map(truediv, x, y), itertools.repeat(best)),
+                map(eq, map(truediv, y, x), itertools.repeat(best)),
+            )
+            if varied not in shifts:
+                added = [0]
+                for t in varied:
+                    added = [a + c for a in added for c in self.deltas[t]]
+                shifts[varied] = added
+            least = min(itertools.compress(shifts[varied], ties))
+            return self.key(lower.start) + least
 
         key, l = min(
-            (least_tied_key(l, num, den), l)
-            for top, (l, num, den) in zip(tops, runs)
-            if top == best
+            (least_tied_key(lower, upper, varied), l)
+            for t, (l, lower, upper, varied) in zip(tops, self.slices)
+            if t == best
         )
         witness = (self.coordinates(key), self.coordinates(key + self.strides[l]))
-        pair_count = sum(len(a) for a, _ in self.pairs)
-        return DepthRatioRow(depth, pair_count, best, witness)
+        return DepthRatioRow(depth, self.pair_count, best, witness)
 
 
 def _slope(points: list[tuple[float, float]]) -> float:
@@ -978,18 +1050,14 @@ def doubling_report(
     (d-1)-dimensional face, i.e. the integer grid coordinates differ by one
     in exactly one coordinate.
 
-    A cube's grid coordinates g_l < n_l^k_l pack into one integer key
-    sum_l g_l * stride_l with stride_l = prod_{j>l} (n_j^k_j + 1).  The
-    radix n_j^k_j + 1 leaves room for g_j + 1, so adding stride_l to a key
-    never carries into another coordinate: key + stride_l is a cube's key
-    exactly when that cube is the neighbour one step up in coordinate l,
-    and integer order of keys is lexicographic order of the coordinates.
-    The adjacent pairs are found once per depth and shared by every measure
-    of a ``doubling_reports`` sweep.  The witness is the first pair, in
-    order of the lower cube's key and then the coordinate, whose ratio
+    The adjacent pairs of a depth are read as strided or contiguous slices
+    of the masses in word order (see ``_DepthPlan``), planned once per
+    depth and shared by every measure of a ``doubling_reports`` sweep.  The
+    witness is the first pair, in lexicographic order of the lower cube's
+    grid coordinates and then the coordinate of the step, whose ratio
     equals the maximum: a scan in that order that replaces its witness only
     on a strictly larger ratio keeps the first of tied pairs, so the
-    reported witness does not depend on how the pairs are stored.
+    reported witness does not depend on the order the slices are read in.
 
     The growth rate is fitted over buckets of depths sharing the
     finest-coordinate refinement count, using each bucket's maximum ratio;
@@ -997,46 +1065,42 @@ def doubling_report(
     rise monotonically across three consecutive depths with a strict net
     gain, so transient bumps are not flagged.
     """
-    return doubling_reports(s, [m], max_depth, cap)[0]
+    return next(doubling_reports(s, [m], max_depth, cap))
 
 
 def doubling_reports(
     s: Sponge,
-    measures: Sequence[BernoulliMeasure],
+    measures: Iterable[BernoulliMeasure],
     max_depth: int,
     cap: int = DEFAULT_CAP,
-) -> list[DoublingReport]:
-    """``doubling_report`` for each measure, sharing the cube plan per depth.
+) -> Iterator[DoublingReport]:
+    """``doubling_report`` for each measure, drawn and reported one at a time.
 
-    Keys and adjacent pairs do not depend on the measure, so each depth is
-    planned once and only the masses are recomputed per measure.
+    The plans of all depths are built, and checked against the cap, before
+    this returns; they hold slices, not cubes, and every measure shares
+    them.  A measure is drawn from ``measures`` only when its report is
+    asked for, so a sweep over a lazy grid holds one measure at a time.
     """
     if max_depth < 1:
         raise ScaleOutOfRange(f"max_depth must be >= 1, got {max_depth}")
-    rows: list[list[DepthRatioRow]] = [[] for _ in measures]
-    bucket_best: list[dict[int, float]] = [{} for _ in measures]
-    for k in range(1, max_depth + 1):
-        plan = _DepthPlan(s, k, cap)
-        v = plan.ks[-1]
-        for m, m_rows, m_best in zip(measures, rows, bucket_best):
-            row = plan.max_ratio_row(k, m)
-            m_rows.append(row)
-            if row.max_ratio is not None:
-                m_best[v] = max(m_best.get(v, 0.0), row.max_ratio)
-        del plan  # so that the next depth's plan is not built beside it
-    last_bucket = scale_exponents(s, Fraction(1, s.bases[0] ** max_depth)).k[-1]
-    return [
-        _doubling_verdict(max_depth, m_rows, m_best, last_bucket)
-        for m_rows, m_best in zip(rows, bucket_best)
-    ]
+    plans = [_DepthPlan(s, k, cap) for k in range(1, max_depth + 1)]
+    return (
+        _doubling_verdict(
+            plans, [plan.max_ratio_row(k, m) for k, plan in enumerate(plans, 1)]
+        )
+        for m in measures
+    )
 
 
 def _doubling_verdict(
-    max_depth: int,
-    rows: list[DepthRatioRow],
-    bucket_best: dict[int, float],
-    last_bucket: int,
+    plans: list[_DepthPlan], rows: list[DepthRatioRow]
 ) -> DoublingReport:
+    bucket_best: dict[int, float] = {}
+    for plan, row in zip(plans, rows):
+        if row.max_ratio is not None:
+            v = plan.ks[-1]
+            bucket_best[v] = max(bucket_best.get(v, 0.0), row.max_ratio)
+    last_bucket = plans[-1].ks[-1]
     points = [
         (float(v), math.log(r))
         for v, r in sorted(bucket_best.items())
@@ -1056,7 +1120,7 @@ def _doubling_verdict(
 
     non_doubling = growth > 1 + GROWTH_TOL and window is not None
     return DoublingReport(
-        max_depth=max_depth,
+        max_depth=len(plans),
         per_depth=tuple(rows),
         growth_rate=growth,
         verdict=(

@@ -459,6 +459,30 @@ def depth_cube_masses(s: Sponge, m: BernoulliMeasure, k: int) -> dict:
     return out
 
 
+def adjacent_pairs(s: Sponge, k: int) -> set:
+    """Face-sharing cube pairs at scale n_1^-k, as (lower, upper) grid tuples.
+
+    Takes the cubes from ``depth_cube_masses`` and compares their exact
+    rational boxes pairwise with ``_share_face``; quadratic in the cube
+    count, so keep it low.
+    """
+    ks = scale_exponents(s, Fraction(1, s.bases[0] ** k)).k
+    m = BernoulliMeasure(s, {t: Fraction(1, len(s.digits)) for t in s.digits})
+
+    def box(g):
+        return tuple(
+            (Fraction(x, n**kl), Fraction(x + 1, n**kl))
+            for x, n, kl in zip(g, s.bases, ks)
+        )
+
+    cubes = sorted(depth_cube_masses(s, m, k))
+    return {
+        (a, b)
+        for a, b in itertools.combinations(cubes, 2)
+        if _share_face(box(a), box(b))
+    }
+
+
 def adjacent_max_ratio(masses: dict):
     """(pair count, max ratio, witness) over grid tuples one step apart.
 

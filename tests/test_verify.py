@@ -13,6 +13,7 @@ import _oracles as oracle
 from conftest import random_strict_sponge
 from spongedim.verify import (
     Mode,
+    _DepthPlan,
     _tau_point,
     audit_to_json,
     convergence_to_json,
@@ -194,7 +195,7 @@ class TestDoubling:
             measures.append(sd.BernoulliMeasure(
                 s, {t: Fraction(a, sum(ints)) for t, a in zip(digits, ints)}
             ))
-        reports = sd.doubling_reports(s, measures, max_depth)
+        reports = list(sd.doubling_reports(s, measures, max_depth))
         for m, rep in zip(measures, reports):
             self._assert_matches_oracle(s, m, rep)
         assert reports == [sd.doubling_report(s, m, max_depth) for m in measures]
@@ -207,6 +208,50 @@ class TestDoubling:
         s = request.getfixturevalue(name)
         for m in list(sd.positive_weight_grid(s, Fraction(1, len(s.digits) + 1)))[:3]:
             self._assert_matches_oracle(s, m, sd.doubling_report(s, m, depth))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**5), max_depth=st.integers(1, 4))
+    def test_plan_slices_are_the_face_sharing_pairs(self, d, seed, max_depth):
+        """Slice entries, decoded to grid tuples, are each face-sharing pair once.
+
+        Bases are strictly increasing, so depth 1 leaves every coordinate
+        but the first unpinned (k_l = 0), and deeper depths often leave the
+        last ones unpinned too.
+        """
+        rng = random.Random(seed)
+        s = random_strict_sponge(rng, max_d=d, max_base=5, max_digits=8)
+        while s.d != d:
+            s = random_strict_sponge(rng, max_d=d, max_base=5, max_digits=8)
+        for k in range(1, max_depth + 1):
+            if sd.count_cubes(s, Fraction(1, s.bases[0] ** k)) > 300:
+                break
+            plan = _DepthPlan(s, k, cap=300)
+            pairs = []
+            for l, lower, upper, _ in plan.slices:
+                lows = range(lower.start, lower.stop, lower.step)
+                ups = range(upper.start, upper.stop, upper.step)
+                assert len(lows) == len(ups)
+                for a, b in zip(map(plan.key, lows), map(plan.key, ups)):
+                    assert b == a + plan.strides[l]
+                    pairs.append((plan.coordinates(a), plan.coordinates(b)))
+            assert len(pairs) == plan.pair_count
+            assert sorted(pairs) == sorted(oracle.adjacent_pairs(s, k))
+
+    def test_measures_are_drawn_lazily(self, carpet_24):
+        drawn = []
+
+        def recording():
+            for m in sd.positive_weight_grid(carpet_24, Fraction(1, 5)):
+                drawn.append(m)
+                yield m
+
+        reports = sd.doubling_reports(carpet_24, recording(), 4)
+        assert drawn == []
+        first = next(reports)
+        assert len(drawn) == 1
+        assert first == sd.doubling_report(carpet_24, drawn[0], 4)
+        assert len(list(reports)) == 5 and len(drawn) == 6
 
     def test_cap_checked_before_a_depth_is_built(self, carpet_24):
         m = sd.coordinate_uniform(carpet_24)
