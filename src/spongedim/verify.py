@@ -337,7 +337,7 @@ def _interval_sup_dist(u: float, v: float, starts: list[float], ends: list[float
     best = max(_point_union_dist(u, starts, ends), _point_union_dist(v, starts, ends))
     # interior maxima sit at midpoints of coverage gaps inside [u, v]
     i = max(bisect_right(starts, u) - 1, 0)
-    while i + 1 < len(starts) and starts[i + 1] < v:
+    while i + 1 < len(starts) and ends[i] < v:
         gap_lo, gap_hi = ends[i], starts[i + 1]
         mid = (gap_lo + gap_hi) / 2.0
         if u <= mid <= v:

@@ -380,6 +380,29 @@ def tangent_leaf_boxes(s: Sponge, R, mode, level: int):
     return boxes
 
 
+def interval_sup_dist(u, v, starts, ends) -> Fraction:
+    """sup over x in [u, v] of the distance from x to the union of intervals.
+
+    ``starts`` and ``ends`` list sorted, disjoint intervals.  The distance is
+    evaluated in exact rationals straight from its definition, the least
+    distance to any one interval, at u, at v and at the middle of every gap
+    between consecutive intervals that lies in [u, v].  Between those points
+    it is piecewise linear with slope +-1, so its sup is one of them.
+    """
+    intervals = [(Fraction(a), Fraction(b)) for a, b in zip(starts, ends)]
+    u, v = Fraction(u), Fraction(v)
+
+    def dist(x):
+        return min(max(a - x, x - b, Fraction(0)) for a, b in intervals)
+
+    points = [u, v] + [
+        (b + a) / 2
+        for (_, b), (a, _) in zip(intervals, intervals[1:])
+        if u <= (b + a) / 2 <= v
+    ]
+    return max(dist(x) for x in points)
+
+
 def tangent_distance(s: Sponge, R, mode, level: int) -> float:
     """max(away, toward) of the convergence check, over every leaf box.
 

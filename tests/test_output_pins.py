@@ -158,7 +158,7 @@ PINS = {
     },
     "tangent-min": {
         "exit": 0,
-        "stdout": "26ee72d7095b82f646ebd3d2b6d42f049c6f412bca2d44f8f1ea67e8aef94362",
+        "stdout": "ea849a0e0a7c78fa4d47368d3854c8f87b072febd5833e8461b9caeddea871a1",
         "files": {},
     },
     "validate": {

@@ -14,6 +14,8 @@ from conftest import random_strict_sponge
 from spongedim.verify import (
     Mode,
     _DepthPlan,
+    _interval_sup_bound,
+    _interval_sup_dist,
     _tau_point,
     audit_to_json,
     convergence_to_json,
@@ -490,6 +492,36 @@ class TestTangentConvergence:
     def test_huge_level_refused(self, sponge_234):
         with pytest.raises(sd.EnumerationTooLarge):
             sd.check_tangent_convergence(sponge_234, Fraction(1, 16), Mode.MAX, 10**9)
+
+
+@st.composite
+def _dyadic_union(draw):
+    """Sorted disjoint intervals with ends in (1/64)Z, and u <= v around them.
+
+    Dyadic values with few bits are exact as floats, and so are their
+    differences and halves, so the float distances must equal the exact ones.
+    """
+    points = sorted(draw(st.sets(st.integers(0, 64), min_size=2, max_size=12)))
+    points = points[: len(points) // 2 * 2]
+    u, v = sorted(draw(st.lists(st.integers(-16, 80), min_size=2, max_size=2)))
+    return (u / 64, v / 64, [a / 64 for a in points[::2]],
+            [b / 64 for b in points[1::2]])
+
+
+class TestIntervalSupDist:
+    """The one-dimensional sup distance against the exact rational oracle."""
+
+    def test_gap_past_the_right_end(self):
+        # [u, v] ends inside the gap (0.1, 0.9) past its midpoint 0.5
+        assert _interval_sup_dist(0.0, 0.6, [0.0, 0.9], [0.1, 1.0]) == 0.4
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_dyadic_union())
+    def test_matches_oracle(self, case):
+        u, v, starts, ends = case
+        exact = oracle.interval_sup_dist(u, v, starts, ends)
+        assert _interval_sup_dist(u, v, starts, ends) == exact
+        assert _interval_sup_bound(u, v, starts, ends) >= exact
 
 
 class TestTangentDistanceOracle:
