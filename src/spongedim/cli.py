@@ -1,23 +1,22 @@
 """Command-line surface.
 
 Each subcommand is a thin adapter over one library operation: it parses
-flags, loads inputs, calls the operation, and prints the operation's own
-serialization.  No numeric logic lives here.  Machine output goes to
-stdout, diagnostics to stderr; exit codes are 0 for success, 1 for domain
-errors, 2 for usage errors.
+flags, loads inputs, calls the operation, and prints its report through the
+package's one JSON emitter, ``report_to_json``.  No numeric logic lives
+here.  Machine output goes to stdout, diagnostics to stderr; exit codes
+are 0 for success, 1 for domain errors, 2 for usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from fractions import Fraction
 
 from .errors import SpongeError
 from .cubes import boxes_to_csv, boxes_to_svg, count_cubes, prefractal
-from .dims import dim_report, lg_family_csv, report_to_json
+from .dims import dim_report, lg_family_csv
 from .measure import (
     coordinate_uniform,
     cube_measure,
@@ -30,16 +29,13 @@ from .verify import (
     DoublingVerdict,
     Mode,
     check_tangent_convergence,
-    convergence_to_json,
     doubling_report,
-    doubling_report_to_json,
     doubling_reports,
+    report_to_json,
     scan_ball_ratios_vssc,
     scan_cube_ratios,
-    scan_report_to_json,
     scan_samples_csv,
     tangent_image,
-    tangent_map,
 )
 
 _MAX_DENOMINATOR = 10**9
@@ -106,20 +102,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scale", required=True, type=_parse_scale)
 
-    p = sub.add_parser("scan", help="cube-mass sandwich scan")
-    p.add_argument("file")
-    p.add_argument("--measure", help="weight file; default coordinate uniform")
-    p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--depth", type=int, default=40)
-    p.add_argument("--samples-csv", help="also dump per-sample rows to a file")
-
-    p = sub.add_parser("ball-scan", help="ball-mass scaling scan (needs VSSC)")
-    p.add_argument("file")
-    p.add_argument("--samples", required=True, type=int)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--samples-csv", help="also dump per-sample rows to a file")
+    for name, depth, text in (("scan", 40, "cube-mass sandwich scan"),
+                              ("ball-scan", 8, "ball-mass scaling scan (needs VSSC)")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        if name == "scan":
+            p.add_argument("--measure", help="weight file; default coordinate uniform")
+        p.add_argument("--samples", required=True, type=int)
+        p.add_argument("--seed", required=True, type=int)
+        p.add_argument("--depth", type=int, default=depth)
+        p.add_argument("--samples-csv", help="also dump per-sample rows to a file")
 
     p = sub.add_parser("doubling", help="adjacent-cube ratio growth")
     p.add_argument("file")
@@ -157,32 +149,26 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
-    doc = {
-        "schema_version": 1,
+    print(report_to_json({
         "ok": True,
         "d": s.d,
-        "bases": list(s.bases),
+        "bases": s.bases,
         "digit_count": len(s.digits),
         "strict_bases": s.strict_bases,
         "uniform_fibres": has_uniform_fibres(s),
         "vssc": satisfies_vssc(s),
-    }
-    print(json.dumps(doc, indent=2))
+    }))
     return 0
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
     m = coordinate_uniform(load_sponge(args.file))
-    doc = {
-        "schema_version": 1,
-        "weights": weights_to_doc(m),
-    }
-    print(json.dumps(doc, indent=2))
+    print(report_to_json({"weights": weights_to_doc(m)}))
     return 0
 
 
 def _measure_for(args: argparse.Namespace, s) -> object:
-    if getattr(args, "measure", None):
+    if args.measure:
         return load_measure(s, args.measure)
     return coordinate_uniform(s)
 
@@ -191,17 +177,9 @@ def _cmd_cube_measure(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
     m = _measure_for(args, s)
     mass = cube_measure(m, args.word, args.scale)
-    doc = {
-        "schema_version": 1,
-        "exact": (
-            f"{mass.exact.numerator}/{mass.exact.denominator}"
-            if mass.exact is not None
-            else None
-        ),
-        "log": mass.log_value,
-        "value": float(mass),
-    }
-    print(json.dumps(doc, indent=2))
+    print(report_to_json(
+        {"exact": mass.exact, "log": mass.log_value, "value": float(mass)}
+    ))
     return 0
 
 
@@ -212,21 +190,12 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
-    m = _measure_for(args, s)
-    report = scan_cube_ratios(s, m, args.samples, args.seed, args.depth)
-    print(scan_report_to_json(report))
-    if args.samples_csv:
-        with open(args.samples_csv, "w", encoding="utf-8") as fh:
-            fh.write(scan_samples_csv(report))
-        print(f"wrote {args.samples} sample rows to {args.samples_csv}",
-              file=sys.stderr)
-    return 0
-
-
-def _cmd_ball_scan(args: argparse.Namespace) -> int:
-    s = load_sponge(args.file)
-    report = scan_ball_ratios_vssc(s, args.samples, args.seed, args.depth)
-    print(scan_report_to_json(report))
+    if args.command == "scan":
+        m = _measure_for(args, s)
+        report = scan_cube_ratios(s, m, args.samples, args.seed, args.depth)
+    else:
+        report = scan_ball_ratios_vssc(s, args.samples, args.seed, args.depth)
+    print(report_to_json(report))
     if args.samples_csv:
         with open(args.samples_csv, "w", encoding="utf-8") as fh:
             fh.write(scan_samples_csv(report))
@@ -246,34 +215,30 @@ def _cmd_doubling(args: argparse.Namespace) -> int:
             {
                 "weights": weights_to_doc(m),
                 "growth_rate": report.growth_rate,
-                "verdict": report.verdict.value,
+                "verdict": report.verdict,
             }
             for m, report in zip(grid, reports)
         ]
-        doc = {
-            "schema_version": 1,
-            "step": f"{args.grid.numerator}/{args.grid.denominator}",
+        print(report_to_json({
+            "step": args.grid,
             "max_depth": args.max_depth,
             "vectors": len(results),
             "all_non_doubling": all(
-                result["verdict"] == DoublingVerdict.NON_DOUBLING.value
+                result["verdict"] is DoublingVerdict.NON_DOUBLING
                 for result in results
             ),
             "results": results,
-        }
-        print(json.dumps(doc, indent=2))
+        }))
         return 0
     m = load_measure(s, args.measure)
-    print(doubling_report_to_json(doubling_report(s, m, args.max_depth)))
+    print(report_to_json(doubling_report(s, m, args.max_depth)))
     return 0
 
 
 def _cmd_tangent(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
     mode = Mode.MAX if args.mode == "max" else Mode.MIN
-    rep = check_tangent_convergence(s, args.scale, mode, args.level)
-    tmap = tangent_map(s, args.scale, mode)
-    print(convergence_to_json(rep, tmap))
+    print(report_to_json(check_tangent_convergence(s, args.scale, mode, args.level)))
     if args.emit_boxes:
         boxes = tangent_image(s, args.scale, mode, args.level)
         with open(args.emit_boxes, "w", encoding="utf-8") as fh:
@@ -310,7 +275,7 @@ _HANDLERS = {
     "cube-measure": _cmd_cube_measure,
     "count": _cmd_count,
     "scan": _cmd_scan,
-    "ball-scan": _cmd_ball_scan,
+    "ball-scan": _cmd_scan,
     "doubling": _cmd_doubling,
     "tangent": _cmd_tangent,
     "family-lg": _cmd_family_lg,

@@ -13,7 +13,6 @@ fibre structure rather than from floating-point comparisons.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +20,6 @@ from typing import Iterator
 
 from .errors import InternalError, NonStrictBases, ScaleOutOfRange
 from .model import Prefix, Sponge, has_uniform_fibres
-
-SCHEMA_VERSION = 1
 
 # Z >= Z' must hold exactly; allow only float noise.
 _RECURSION_TOL = 1e-9
@@ -164,7 +161,7 @@ def dim_report(s: Sponge) -> DimReport:
             dichotomy=dichotomy(s),
             errors={},
         )
-    reason = "NonStrictBases"
+    omitted = ("assouad", "lower", "lower_via_zprime", "dichotomy")
     return DimReport(
         strictness_ok=False,
         assouad=None,
@@ -173,29 +170,8 @@ def dim_report(s: Sponge) -> DimReport:
         hausdorff=hausdorff,
         lower_via_zprime=None,
         dichotomy=None,
-        errors={
-            "assouad": reason,
-            "lower": reason,
-            "lower_via_zprime": reason,
-            "dichotomy": reason,
-        },
+        errors=dict.fromkeys(omitted, "NonStrictBases"),
     )
-
-
-def report_to_json(rep: DimReport) -> str:
-    """Fixed-key-order JSON for golden tests; floats via repr round-trip."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "strictness_ok": rep.strictness_ok,
-        "assouad": rep.assouad,
-        "lower": rep.lower,
-        "box": rep.box,
-        "hausdorff": rep.hausdorff,
-        "lower_via_zprime": rep.lower_via_zprime,
-        "dichotomy": rep.dichotomy.value if rep.dichotomy is not None else None,
-        "errors": rep.errors,
-    }
-    return json.dumps(doc, indent=2)
 
 
 def lg_family_dims(lam: Fraction | float | str) -> tuple[float, float, float, float]:

@@ -3,10 +3,10 @@
 Everything here checks a quantitative claim numerically instead of proving
 it: measure-ratio sandwiches over random cube samples, ball-ratio scaling
 with the sharp constants under the separation condition, adjacent-cube
-ratio growth as a non-doubling certificate, rescaled-piece convergence to
-the product tangent set, and the equal-or-all-distinct audit.  Every scan
-is deterministic given its seed, and reports serialize to JSON with fixed
-key order so golden tests stay byte-stable.
+ratio growth as a non-doubling certificate, and rescaled-piece convergence
+to the product tangent set.  Every scan is deterministic given its seed,
+and every report is written as JSON by ``report_to_json``, with fixed key
+order so golden tests stay byte-stable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
 from operator import eq, itemgetter, mul, or_, truediv
@@ -46,7 +46,7 @@ from .cubes import (
     lattice_column,
     scale_exponents,
 )
-from .dims import Dichotomy, assouad_dim, dichotomy, lower_dim
+from .dims import assouad_dim, lower_dim
 from .measure import (
     BernoulliMeasure,
     ball_measure_bounds,
@@ -130,19 +130,14 @@ class TangentMap:
 
     @classmethod
     def from_cube(cls, s: Sponge, q: ApproximateCube) -> "TangentMap":
-        scales = tuple(
-            s.bases[l] ** q.exponents.k[l] for l in range(s.d)
-        )
+        scales = tuple(n**k for n, k in zip(s.bases, q.exponents.k))
         offsets = tuple(lo for lo, _ in geometric_box(s, q))
         return cls(q, scales, offsets, min(scales), max(scales))
 
     def apply_box(self, box: Box) -> Box:
         return tuple(
-            (
-                self.scales[l] * (box[l][0] - self.offsets[l]),
-                self.scales[l] * (box[l][1] - self.offsets[l]),
-            )
-            for l in range(len(self.scales))
+            (k * (lo - o), k * (hi - o))
+            for k, o, (lo, hi) in zip(self.scales, self.offsets, box)
         )
 
 
@@ -210,8 +205,7 @@ def hat_set_prefractal(
                 (Fraction(v, den), Fraction(v + 1, den))
                 for v in lattice_column(s.bases[l], [sorted(alpha)] * level)
             ])
-    boxes = tuple(box for box in itertools.product(*lists))
-    return BoxSet(boxes)
+    return BoxSet(tuple(itertools.product(*lists)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +225,7 @@ def _tangent_cover(
     word = tangent_word(s, R, mode)
     ks = scale_exponents(s, R).k
     if level < ks[0]:
-        raise ScaleOutOfRange(
-            f"cover level {level} is coarser than the cube depth {ks[0]}"
-        )
+        raise ScaleOutOfRange(f"cover level {level} is coarser than the cube depth {ks[0]}")
     tmap = TangentMap.from_cube(s, approximate_cube(s, word, R))
     digits = sorted(s.digit_set)
     choices: list[tuple[DigitTuple, ...]] = []
@@ -281,43 +273,6 @@ def _corner_dist(x: float, lo: float, hi: float) -> float:
     if x > hi:
         return x - hi
     return 0.0
-
-
-def _box_pair_sup(a: Box, b: Box) -> float:
-    """max over points of a of the distance to b (corner closed form)."""
-    total = 0.0
-    for (alo, ahi), (blo, bhi) in zip(a, b):
-        c = max(_corner_dist(float(alo), float(blo), float(bhi)),
-                _corner_dist(float(ahi), float(blo), float(bhi)))
-        total += c * c
-    return math.sqrt(total)
-
-
-def box_set_hausdorff(a: BoxSet, b: BoxSet) -> float:
-    """Conservative symmetric distance between two box unions.
-
-    For each box of one set, take the smallest worst-point distance to a
-    single box of the other set, and maximize; then symmetrize.  This never
-    underestimates the true Hausdorff distance between the unions, and is
-    exact when each box of one set sits inside some box of the other.
-    """
-    if len(a) == 0 or len(b) == 0:
-        raise ScaleOutOfRange("box sets must be non-empty")
-
-    def directed(src: BoxSet, dst: BoxSet) -> float:
-        worst = 0.0
-        for box in src.boxes:
-            best = math.inf
-            for other in dst.boxes:
-                v = _box_pair_sup(box, other)
-                if v < best:
-                    best = v
-                    if best == 0.0:
-                        break
-            worst = max(worst, best)
-        return worst
-
-    return max(directed(a, b), directed(b, a))
 
 
 def _point_union_dist(x: float, starts: list[float], ends: list[float]) -> float:
@@ -449,7 +404,11 @@ class _CoverTree:
 
 @dataclass(frozen=True)
 class TangentConvergence:
-    """Distance between a rescaled cube cover and the product-set cover."""
+    """Distance between a rescaled cube cover and the product-set cover.
+
+    ``map_scales`` and ``map_band`` are the tangent map's ``scales`` and its
+    Lipschitz band (a, b).
+    """
 
     scale: Fraction
     level: int
@@ -459,6 +418,8 @@ class TangentConvergence:
     slack_term: float
     bound: float
     ok: bool
+    map_scales: tuple[int, ...]
+    map_band: tuple[int, int]
 
 
 def check_tangent_convergence(
@@ -475,20 +436,14 @@ def check_tangent_convergence(
     sit at most half a cell diagonal farther out, which the resolution slack
     absorbs.
 
-    Neither direction builds the rescaled cover.  Both walk the tangent
-    cube's word tree depth first with an explicit stack (``_CoverTree``).
-    A node's box is its cylinder box padded outward, and it holds every leaf
-    box below the node.  So the node's distance from a corner bounds the
-    leaves' from below, and its worst distance to the product cover, plus
-    the pad, bounds theirs from above.  `toward` visits the nearest child
-    first and drops a node whose lower bound is no smaller than the best
-    leaf so far; `away` visits the farthest child first and drops a node
-    whose upper bound is no larger than the worst leaf so far.  A dropped
-    node cannot hold a strictly better leaf, so the extremal leaf is always
-    reached.  Leaves are scored with the same float expressions in the same
-    order as a leaf-by-leaf scan, squared sums are compared, and the square
-    root is taken once at the end, so the result does not depend on which
-    nodes were dropped.
+    Neither direction builds the rescaled cover: both walk the tangent
+    cube's word tree by branch and bound (``_CoverTree.least``).  A node's
+    box is its cylinder box padded outward, so its distance from a corner
+    bounds its leaves' from below (`toward`), and its worst distance to the
+    product cover, plus the pad, bounds theirs from above (`away`).  Leaves
+    are scored with the float expressions of a leaf-by-leaf scan and the
+    square root is taken once at the end, so the result does not depend on
+    which nodes were dropped.
 
     The reported bound has two parts: the block-length term
     sqrt(d) max_l n_l^{-(k_{l-1}-k_l)} coming from the construction, and a
@@ -498,13 +453,12 @@ def check_tangent_convergence(
     ks = scale_exponents(s, R)
     k1 = ks.k[0]
     if level <= k1:
-        raise ScaleOutOfRange(
-            f"need cover level > {k1} to refine the cube at this scale"
-        )
+        raise ScaleOutOfRange(f"need cover level > {k1} to refine the cube at this scale")
     refinement = level - k1
     alphabets = hat_digit_alphabets(s, mode)
     _require_interior(s, alphabets)
-    tree = _CoverTree.build(s, *_tangent_cover(s, R, mode, level, cap))
+    tmap, choices = _tangent_cover(s, R, mode, level, cap)
+    tree = _CoverTree.build(s, tmap, choices)
 
     factors: list[tuple[list[float], list[float]]] = []
     corner_values: list[list[float]] = []
@@ -562,6 +516,8 @@ def check_tangent_convergence(
         slack_term=slack,
         bound=bound,
         ok=distance <= bound + _EPS,
+        map_scales=tmap.scales,
+        map_band=(tmap.a, tmap.b),
     )
 
 
@@ -571,7 +527,9 @@ def check_tangent_convergence(
 
 @dataclass(frozen=True)
 class ScanViolation:
-    word: tuple[tuple[int, ...], ...]
+    """One broken side of a sandwich; ``word`` is the sample's word label."""
+
+    word: str
     r: Fraction
     R: Fraction
     ratio: float
@@ -586,18 +544,23 @@ class ScanReport:
     Slacks are log-space margins (bound minus observed, oriented so that
     non-negative means satisfied); the worst slack over all samples is
     reported per side, and every sample with a negative margin appears in
-    ``violations``.
+    ``violations``.  ``rows`` holds one (label, r, R, ratio, lower bound,
+    upper bound) per sample for ``scan_samples_csv``, not for the JSON
+    document.
     """
 
     kind: str
     samples: int
     worst_lower_slack: float
     worst_upper_slack: float
+    violation_count: int
     violations: tuple[ScanViolation, ...]
     constants_used: tuple[float, float]
     exponents: tuple[float, float]
     coordinate_uniform_measure: bool
-    rows: tuple[tuple[str, Fraction, Fraction, float, float, float], ...]
+    rows: tuple[tuple[str, Fraction, Fraction, float, float, float], ...] = field(
+        metadata={"document": False}
+    )
 
 
 def _exp(x: float) -> float:
@@ -624,6 +587,69 @@ def _check_scan_size(samples: int, depth: int) -> None:
         )
 
 
+_Sample = tuple[int, int, tuple[DigitTuple, ...], str, Fraction, Fraction, float, float]
+
+
+def _sandwich_scan(
+    s: Sponge, kind: str, samples: int, seed: int, spread: int, uniform: bool,
+    draw: Callable[[random.Random, list[DigitTuple]], _Sample],
+) -> ScanReport:
+    """The seeded loop of both sandwich scans.
+
+    ``draw(rng, digits)`` draws one sample (a, b, word, suffix, r, R, low,
+    high): the scale pair (R, r) is proportional to (n_1^-a, n_1^-b) and
+    log mass(R)/mass(r) lies in [low, high].  The loop checks
+    c0 (R/r)^lower <= mass(R)/mass(r) <= c1 (R/r)^assouad in log space,
+    with c1 = n_d^d spread^assouad and c0 = n_d^-d spread^-lower.  Each
+    side is tested on the end of [low, high] least likely to break it, so a
+    violation is recorded only when even that end does.  A row's ratio is
+    exp(high); its label is the word's plus the suffix.
+    """
+    dim_hi = assouad_dim(s)
+    dim_lo = lower_dim(s)
+    nd = s.bases[-1]
+    c1 = float(nd**s.d) * spread**dim_hi
+    c0 = float(Fraction(1, nd**s.d)) * spread**-dim_lo
+    log_c0, log_c1 = math.log(c0), math.log(c1)
+    log_n1 = math.log(s.bases[0])
+    digits = sorted(s.digit_set)
+    rng = random.Random(seed)
+
+    worst_lo = worst_hi = math.inf
+    violations: list[ScanViolation] = []
+    rows: list[tuple[str, Fraction, Fraction, float, float, float]] = []
+    for _ in range(samples):
+        a, b, word, suffix, small, big, low, high = draw(rng, digits)
+        gap = (b - a) * log_n1
+        log_upper = log_c1 + dim_hi * gap
+        log_lower = log_c0 + dim_lo * gap
+        up_slack = log_upper - low
+        lo_slack = high - log_lower
+        worst_hi = min(worst_hi, up_slack)
+        worst_lo = min(worst_lo, lo_slack)
+        label = _word_label(word)
+        ratio = _exp(high)
+        upper = _exp(log_upper)
+        lower = _exp(log_lower)
+        rows.append((label + suffix, small, big, ratio, lower, upper))
+        if up_slack < -_EPS:
+            violations.append(ScanViolation(label, small, big, _exp(low), upper, "upper"))
+        if lo_slack < -_EPS:
+            violations.append(ScanViolation(label, small, big, ratio, lower, "lower"))
+    return ScanReport(
+        kind=kind,
+        samples=samples,
+        worst_lower_slack=worst_lo,
+        worst_upper_slack=worst_hi,
+        violation_count=len(violations),
+        violations=tuple(violations),
+        constants_used=(c0, c1),
+        exponents=(dim_lo, dim_hi),
+        coordinate_uniform_measure=uniform,
+        rows=tuple(rows),
+    )
+
+
 def scan_cube_ratios(
     s: Sponge,
     m: BernoulliMeasure,
@@ -646,58 +672,22 @@ def scan_cube_ratios(
     if samples < 1 or depth < 1:
         raise ScaleOutOfRange("samples and depth must be positive")
     _check_scan_size(samples, depth)
-    dim_hi = assouad_dim(s)
-    dim_lo = lower_dim(s)
-    nd = s.bases[-1]
-    c1 = float(nd**s.d)
-    c0 = float(Fraction(1, nd**s.d))
-    log_n1 = math.log(s.bases[0])
-    digits = sorted(s.digit_set)
-    rng = random.Random(seed)
+    n1 = s.bases[0]
 
-    worst_lo = math.inf
-    worst_hi = math.inf
-    violations: list[ScanViolation] = []
-    rows: list[tuple[str, Fraction, Fraction, float, float, float]] = []
-    for _ in range(samples):
+    def draw(rng: random.Random, digits: list[DigitTuple]) -> _Sample:
         a = rng.randrange(0, depth)
         b = rng.randrange(a + 1, depth + 1)
         word = tuple(rng.choice(digits) for _ in range(b))
-        big = Fraction(1, s.bases[0] ** a)
-        small = Fraction(1, s.bases[0] ** b)
+        big = Fraction(1, n1**a)
+        small = Fraction(1, n1**b)
         log_ratio = (
             cube_measure(m, word, big, exact_budget=0).log_value
             - cube_measure(m, word, small, exact_budget=0).log_value
         )
-        gap = (b - a) * log_n1
-        log_upper = math.log(c1) + dim_hi * gap
-        log_lower = math.log(c0) + dim_lo * gap
-        up_slack = log_upper - log_ratio
-        lo_slack = log_ratio - log_lower
-        worst_hi = min(worst_hi, up_slack)
-        worst_lo = min(worst_lo, lo_slack)
-        ratio = _exp(log_ratio)
-        rows.append(
-            (_word_label(word), small, big, ratio, _exp(log_lower), _exp(log_upper))
-        )
-        if up_slack < -_EPS:
-            violations.append(
-                ScanViolation(word, small, big, ratio, _exp(log_upper), "upper")
-            )
-        if lo_slack < -_EPS:
-            violations.append(
-                ScanViolation(word, small, big, ratio, _exp(log_lower), "lower")
-            )
-    return ScanReport(
-        kind="cube-ratio",
-        samples=samples,
-        worst_lower_slack=worst_lo,
-        worst_upper_slack=worst_hi,
-        violations=tuple(violations),
-        constants_used=(c0, c1),
-        exponents=(dim_lo, dim_hi),
-        coordinate_uniform_measure=_is_coordinate_uniform(s, m),
-        rows=tuple(rows),
+        return a, b, word, "", small, big, log_ratio, log_ratio
+
+    return _sandwich_scan(
+        s, "cube-ratio", samples, seed, 1, _is_coordinate_uniform(s, m), draw
     )
 
 
@@ -744,67 +734,24 @@ def scan_ball_ratios_vssc(
         raise ScaleOutOfRange("need samples >= 1 and depth >= 2")
     _check_scan_size(samples, depth)
     m = coordinate_uniform(s)
-    dim_hi = assouad_dim(s)
-    dim_lo = lower_dim(s)
-    nd = s.bases[-1]
-    spread = 2 * sum(s.bases) * s.bases[0] ** 2
-    c1 = float(nd**s.d) * spread**dim_hi
-    c0 = float(Fraction(1, nd**s.d)) * spread**-dim_lo
-    log_n1 = math.log(s.bases[0])
-    digits = sorted(s.digit_set)
-    rng = random.Random(seed)
+    n1 = s.bases[0]
 
-    worst_lo = math.inf
-    worst_hi = math.inf
-    violations: list[ScanViolation] = []
-    rows: list[tuple[str, Fraction, Fraction, float, float, float]] = []
-    for _ in range(samples):
+    def draw(rng: random.Random, digits: list[DigitTuple]) -> _Sample:
         a = rng.randrange(0, depth - 1)
         b = rng.randrange(a + 1, depth)
         word = tuple(rng.choice(digits) for _ in range(depth))
         tail = rng.choice(digits)
         center = _tau_point(s, word, tail)
-        big = Fraction(1, 2 * s.bases[0] ** a)
-        small = Fraction(1, 2 * s.bases[0] ** b)
+        big = Fraction(1, 2 * n1**a)
+        small = Fraction(1, 2 * n1**b)
         blo, bhi = ball_measure_bounds(m, center, big, b + 3, cap)
         slo, shi = ball_measure_bounds(m, center, small, b + 3, cap)
-        gap = (b - a) * log_n1
-        log_upper = math.log(c1) + dim_hi * gap
-        log_lower = math.log(c0) + dim_lo * gap
+        low = blo.log_value - shi.log_value  # -inf when blo is 0
+        high = bhi.log_value - slo.log_value  # +inf when slo is 0
+        return a, b, word, "|" + _word_label([tail]), small, big, low, high
 
-        # conservative: test the bracket end least likely to violate
-        low_ratio = blo.log_value - shi.log_value  # -inf when blo is 0
-        high_ratio = bhi.log_value - slo.log_value  # +inf when slo is 0
-        up_slack = log_upper - low_ratio
-        lo_slack = high_ratio - log_lower
-        worst_hi = min(worst_hi, up_slack)
-        worst_lo = min(worst_lo, lo_slack)
-        label = _word_label(word) + "|" + _word_label([tail])
-        rows.append(
-            (label, small, big, math.exp(min(high_ratio, 700.0)),
-             _exp(log_lower), _exp(log_upper))
-        )
-        if up_slack < -_EPS:
-            violations.append(
-                ScanViolation(word, small, big, _exp(low_ratio),
-                              _exp(log_upper), "upper")
-            )
-        if lo_slack < -_EPS:
-            violations.append(
-                ScanViolation(word, small, big, math.exp(min(high_ratio, 700.0)),
-                              _exp(log_lower), "lower")
-            )
-    return ScanReport(
-        kind="ball-ratio",
-        samples=samples,
-        worst_lower_slack=worst_lo,
-        worst_upper_slack=worst_hi,
-        violations=tuple(violations),
-        constants_used=(c0, c1),
-        exponents=(dim_lo, dim_hi),
-        coordinate_uniform_measure=True,
-        rows=tuple(rows),
-    )
+    spread = 2 * sum(s.bases) * n1**2
+    return _sandwich_scan(s, "ball-ratio", samples, seed, spread, True, draw)
 
 
 def scan_samples_csv(report: ScanReport) -> str:
@@ -1131,170 +1078,35 @@ def _doubling_verdict(
 
 
 # ---------------------------------------------------------------------------
-# dichotomy audit
-
-
-@dataclass(frozen=True)
-class LevelGrowthRow:
-    level: int
-    size: int
-    previous_size: int
-    max_fibre: int
-    growth_within_max: bool
-
-
-@dataclass(frozen=True)
-class DichotomyAudit:
-    verdict: Dichotomy
-    break_level: int | None
-    levels: tuple[LevelGrowthRow, ...]
-
-
-def dichotomy_audit(s: Sponge) -> DichotomyAudit:
-    """Audit the all-equal-or-all-distinct claim and its supporting chain.
-
-    Checks |D_l| / |D_{l-1}| <= max fibre count at every level, and reports
-    the largest level at which fibre counts fail to be constant (the level
-    where the primed and unprimed recursions separate); None when fibres
-    are uniform.
-    """
-    verdict = dichotomy(s)
-    levels = []
-    for l in range(2, s.d + 1):
-        size = len(s.level_sets[l])
-        prev = len(s.level_sets[l - 1])
-        max_fibre = s.fibre_count_range(l)[1]
-        levels.append(
-            LevelGrowthRow(l, size, prev, max_fibre, size <= prev * max_fibre)
-        )
-    break_level = None
-    for t in range(1, s.d):
-        lo, hi = s.fibre_count_range(t + 1)
-        if lo != hi:
-            break_level = t
-    return DichotomyAudit(verdict, break_level, tuple(levels))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
-def scan_report_to_json(report: ScanReport) -> str:
-    doc = {
-        "schema_version": 1,
-        "kind": report.kind,
-        "samples": report.samples,
-        "worst_lower_slack": report.worst_lower_slack,
-        "worst_upper_slack": report.worst_upper_slack,
-        "violation_count": len(report.violations),
-        "violations": [
-            {
-                "word": _word_label(v.word),
-                "r": f"{v.r.numerator}/{v.r.denominator}",
-                "R": f"{v.R.numerator}/{v.R.denominator}",
-                "ratio": v.ratio,
-                "bound": v.bound,
-                "side": v.side,
-            }
-            for v in report.violations
-        ],
-        "constants_used": list(report.constants_used),
-        "exponents": list(report.exponents),
-        "coordinate_uniform_measure": report.coordinate_uniform_measure,
-    }
-    return json.dumps(doc, indent=2)
+def _doc(value: object) -> object:
+    """``value`` as JSON data; see ``report_to_json``."""
+    if is_dataclass(value):
+        return {
+            f.name: _doc(getattr(value, f.name))
+            for f in fields(value)
+            if f.metadata.get("document", True)
+        }
+    if isinstance(value, dict):
+        return {key: _doc(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_doc(item) for item in value]
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value
 
 
-def scan_report_to_text(report: ScanReport) -> str:
-    c0, c1 = report.constants_used
-    lo, hi = report.exponents
-    lines = [
-        f"{report.kind} scan: {report.samples} samples",
-        f"bounds: {c0:.6g} (R/r)^{lo:.12g} <= ratio <= {c1:.6g} (R/r)^{hi:.12g}",
-        f"worst lower slack (log): {report.worst_lower_slack:.6g}",
-        f"worst upper slack (log): {report.worst_upper_slack:.6g}",
-        f"violations: {len(report.violations)}",
-    ]
-    if not report.coordinate_uniform_measure:
-        lines.append(
-            "note: measure is not the coordinate uniform one; the sandwich "
-            "exponents are not guaranteed for it"
-        )
-    return "\n".join(lines) + "\n"
+def report_to_json(report: object) -> str:
+    """The JSON document of a report or a mapping, schema version first.
 
-
-def doubling_report_to_json(report: DoublingReport) -> str:
-    doc = {
-        "schema_version": 1,
-        "max_depth": report.max_depth,
-        "per_depth": [
-            {
-                "depth": row.depth,
-                "pair_count": row.pair_count,
-                "max_ratio": row.max_ratio,
-                "witness": (
-                    [list(row.witness[0]), list(row.witness[1])]
-                    if row.witness is not None
-                    else None
-                ),
-            }
-            for row in report.per_depth
-        ],
-        "growth_rate": report.growth_rate,
-        "verdict": report.verdict.value,
-        "window_start": report.window_start,
-    }
-    return json.dumps(doc, indent=2)
-
-
-def doubling_report_to_text(report: DoublingReport) -> str:
-    lines = [f"adjacent-cube ratio growth to depth {report.max_depth}"]
-    for row in report.per_depth:
-        shown = "none" if row.max_ratio is None else f"{row.max_ratio:.6g}"
-        lines.append(
-            f"  depth {row.depth:>3}: pairs {row.pair_count:>8}  max ratio {shown}"
-        )
-    lines.append(f"fitted growth rate: {report.growth_rate:.9g}")
-    lines.append(f"verdict: {report.verdict.value}")
-    if report.window_start is not None:
-        lines.append(f"monotone growth window starts at depth {report.window_start}")
-    return "\n".join(lines) + "\n"
-
-
-def convergence_to_json(
-    rep: TangentConvergence, tmap: TangentMap | None = None
-) -> str:
-    doc: dict[str, object] = {
-        "schema_version": 1,
-        "scale": f"{rep.scale.numerator}/{rep.scale.denominator}",
-        "level": rep.level,
-        "refinement": rep.refinement,
-        "distance": rep.distance,
-        "base_term": rep.base_term,
-        "slack_term": rep.slack_term,
-        "bound": rep.bound,
-        "ok": rep.ok,
-    }
-    if tmap is not None:
-        doc["map_scales"] = list(tmap.scales)
-        doc["map_band"] = [tmap.a, tmap.b]
-    return json.dumps(doc, indent=2)
-
-
-def audit_to_json(audit: DichotomyAudit) -> str:
-    doc = {
-        "schema_version": 1,
-        "verdict": audit.verdict.value,
-        "break_level": audit.break_level,
-        "levels": [
-            {
-                "level": row.level,
-                "size": row.size,
-                "previous_size": row.previous_size,
-                "max_fibre": row.max_fibre,
-                "growth_within_max": row.growth_within_max,
-            }
-            for row in audit.levels
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    Every document the package prints is written here.  A dataclass gives
+    its fields in declaration order, except those whose metadata sets
+    ``document`` to False; a mapping gives its items in order.  At any
+    depth a Fraction is written "p/q", an enum as its value and a tuple as
+    a list; floats keep their repr round-trip.
+    """
+    return json.dumps({"schema_version": 1, **_doc(report)}, indent=2)

@@ -159,17 +159,20 @@ def scan_cube_ratios(s: Sponge, m: BernoulliMeasure, samples: int, seed: int,
         )
         if up_slack < -_EPS:
             violations.append(
-                ScanViolation(word, small, big, ratio, _exp(log_upper), "upper")
+                ScanViolation(_word_label(word), small, big, ratio, _exp(log_upper),
+                              "upper")
             )
         if lo_slack < -_EPS:
             violations.append(
-                ScanViolation(word, small, big, ratio, _exp(log_lower), "lower")
+                ScanViolation(_word_label(word), small, big, ratio, _exp(log_lower),
+                              "lower")
             )
     return ScanReport(
         kind="cube-ratio",
         samples=samples,
         worst_lower_slack=worst_lo,
         worst_upper_slack=worst_hi,
+        violation_count=len(violations),
         violations=tuple(violations),
         constants_used=(c0, c1),
         exponents=(dim_lo, dim_hi),

@@ -1,0 +1,53 @@
+"""Invariants of the library source, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spongedim"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring nodes of a module and its classes and functions."""
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, owners)
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def test_no_assert_statements():
+    """`python -O` strips asserts, so library invariants must be explicit checks."""
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_schema_version_written_in_one_place():
+    """Every JSON document gets its schema version from the one emitter."""
+    found = []
+    for name, tree in _modules().items():
+        docstrings = _docstrings(tree)
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "schema_version" in node.value
+            and id(node) not in docstrings
+        ]
+    assert len(found) == 1, found

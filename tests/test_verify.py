@@ -1,4 +1,4 @@
-"""Scans, doubling detection, tangent construction, and the dichotomy audit."""
+"""Scans, doubling detection, tangent construction, and the report emitter."""
 
 import json
 import math
@@ -17,12 +17,7 @@ from spongedim.verify import (
     _interval_sup_bound,
     _interval_sup_dist,
     _tau_point,
-    audit_to_json,
-    convergence_to_json,
-    doubling_report_to_json,
-    doubling_report_to_text,
-    scan_report_to_json,
-    scan_report_to_text,
+    report_to_json,
     scan_samples_csv,
 )
 
@@ -47,10 +42,10 @@ class TestCubeRatioScan:
 
     def test_deterministic_given_seed(self, sponge_234):
         m = sd.coordinate_uniform(sponge_234)
-        a = scan_report_to_json(sd.scan_cube_ratios(sponge_234, m, 50, 123))
-        b = scan_report_to_json(sd.scan_cube_ratios(sponge_234, m, 50, 123))
+        a = report_to_json(sd.scan_cube_ratios(sponge_234, m, 50, 123))
+        b = report_to_json(sd.scan_cube_ratios(sponge_234, m, 50, 123))
         assert a == b
-        c = scan_report_to_json(sd.scan_cube_ratios(sponge_234, m, 50, 124))
+        c = report_to_json(sd.scan_cube_ratios(sponge_234, m, 50, 124))
         assert a != c
 
     def test_flat_weights_are_flagged(self, sponge_234):
@@ -122,8 +117,8 @@ class TestBallRatioScan:
         assert c0 == pytest.approx((1 / 16) * (2 * 7 * 9) ** -dim_l)
 
     def test_deterministic(self, carpet_vssc):
-        a = scan_report_to_json(sd.scan_ball_ratios_vssc(carpet_vssc, 20, 5, depth=5))
-        b = scan_report_to_json(sd.scan_ball_ratios_vssc(carpet_vssc, 20, 5, depth=5))
+        a = report_to_json(sd.scan_ball_ratios_vssc(carpet_vssc, 20, 5, depth=5))
+        b = report_to_json(sd.scan_ball_ratios_vssc(carpet_vssc, 20, 5, depth=5))
         assert a == b
 
 
@@ -450,23 +445,6 @@ class TestTangentImage:
                 assert sorted(sd.tangent_image(s, R, mode, level)) == expected
 
 
-class TestBoxSetDistance:
-    def test_identical_sets(self, carpet_24):
-        bs = sd.prefractal(carpet_24, 2)
-        assert sd.box_set_hausdorff(bs, bs) == 0
-
-    def test_hand_computed_pair(self):
-        a = sd.BoxSet((((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1))),))
-        b = sd.BoxSet((((Fraction(1, 2), Fraction(1)), (Fraction(0), Fraction(1))),))
-        # farthest point of one box from the other is half a unit away
-        assert sd.box_set_hausdorff(a, b) == pytest.approx(0.5)
-
-    def test_symmetry(self, carpet_24):
-        a = sd.prefractal(carpet_24, 1)
-        b = sd.prefractal(carpet_24, 2)
-        assert sd.box_set_hausdorff(a, b) == sd.box_set_hausdorff(b, a)
-
-
 class TestTangentConvergence:
     def test_full_grid_tangent_is_exact(self, full_grid_234):
         rep = sd.check_tangent_convergence(
@@ -553,65 +531,23 @@ class TestTangentDistanceOracle:
         assert rep.distance == oracle.tangent_distance(s, R, mode, level)
 
 
-class TestDichotomyAudit:
-    def test_reference_sponge(self, sponge_234):
-        audit = sd.dichotomy_audit(sponge_234)
-        assert audit.verdict is sd.Dichotomy.ALL_DISTINCT
-        assert audit.break_level == 2
-
-    def test_full_grid(self, full_grid_234):
-        audit = sd.dichotomy_audit(full_grid_234)
-        assert audit.verdict is sd.Dichotomy.ALL_EQUAL
-        assert audit.break_level is None
-
-    def test_growth_inequality_rows(self, sponge_234):
-        rows = sd.dichotomy_audit(sponge_234).levels
-        assert [row.level for row in rows] == [2, 3]
-        for row in rows:
-            assert row.growth_within_max
-            assert row.size <= row.previous_size * row.max_fibre
-
-    def test_repeated_bases_refused(self, sponge_344):
-        with pytest.raises(sd.NonStrictBases):
-            sd.dichotomy_audit(sponge_344)
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 10**5))
-    def test_verdict_tracks_uniform_fibres(self, seed):
-        s = random_strict_sponge(random.Random(seed))
-        audit = sd.dichotomy_audit(s)
-        if sd.has_uniform_fibres(s):
-            assert audit.verdict is sd.Dichotomy.ALL_EQUAL
-        else:
-            assert audit.verdict is sd.Dichotomy.ALL_DISTINCT
-
-
 class TestSerialization:
     def test_scan_json_schema(self, sponge_234):
         m = sd.coordinate_uniform(sponge_234)
         rep = sd.scan_cube_ratios(sponge_234, m, 10, 2, depth=10)
-        doc = json.loads(scan_report_to_json(rep))
+        doc = json.loads(report_to_json(rep))
         assert doc["schema_version"] == 1
         assert doc["violation_count"] == 0
-        assert scan_report_to_text(rep).startswith("cube-ratio scan")
 
     def test_doubling_json_and_text(self, carpet_24):
         m = sd.coordinate_uniform(carpet_24)
         rep = sd.doubling_report(carpet_24, m, 6)
-        doc = json.loads(doubling_report_to_json(rep))
+        doc = json.loads(report_to_json(rep))
         assert doc["schema_version"] == 1
         assert doc["verdict"] == "NonDoublingCertificate"
-        assert "NonDoublingCertificate" in doubling_report_to_text(rep)
 
     def test_convergence_json_with_map(self, sponge_234):
         rep = sd.check_tangent_convergence(sponge_234, Fraction(1, 16), Mode.MAX, 6)
-        tmap = sd.tangent_map(sponge_234, Fraction(1, 16), Mode.MAX)
-        doc = json.loads(convergence_to_json(rep, tmap))
+        doc = json.loads(report_to_json(rep))
         assert doc["map_band"] == [9, 16]
         assert doc["ok"] is True
-
-    def test_audit_json(self, sponge_234):
-        doc = json.loads(audit_to_json(sd.dichotomy_audit(sponge_234)))
-        assert doc["schema_version"] == 1
-        assert doc["verdict"] == "AllDistinct"
-        assert doc["break_level"] == 2
