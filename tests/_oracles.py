@@ -237,6 +237,50 @@ def ball_measure_bounds(m: BernoulliMeasure, center, radius, depth: int):
     return _rational_log(lower), _rational_log(upper)
 
 
+def ledrappier_young_dim(s: Sponge, weights) -> float:
+    """Dimension of the Bernoulli measure with digit weights ``weights``.
+
+    The Ledrappier-Young formula for sponges, H(pi_1 p) / log n_1 plus
+    (H(pi_l p) - H(pi_{l-1} p)) / log n_l over l = 2..d, where pi_l p is the
+    law of a digit's first l coordinates and H its entropy (Kenyon and
+    Peres, "Measures of full dimension on affine-invariant sets", ETDS 1996).
+    Its maximum over all weights is the Hausdorff dimension.
+    """
+    def entropy(l):
+        law = {}
+        for t, w in weights.items():
+            law[t[:l]] = law.get(t[:l], 0.0) + float(w)
+        return -sum(w * math.log(w) for w in law.values() if w > 0)
+
+    value = entropy(1) / math.log(s.bases[0])
+    for l in range(2, s.d + 1):
+        value += (entropy(l) - entropy(l - 1)) / math.log(s.bases[l - 1])
+    return value
+
+
+def full_dimension_weights(s: Sponge) -> dict:
+    """The digit weights at which ``ledrappier_young_dim`` is largest.
+
+    Z_d = 1 on the digits and Z_{l-1}(q) = sum_j Z_l(q + j)^e_l over the
+    level-l prefixes q + j, with e_l = log n_l / log n_{l+1} and n_{d+1} =
+    n_d.  After the prefix q the next coordinate j has conditional weight
+    Z_l(q + j)^e_l / Z_{l-1}(q), and a digit's weight is the product of its
+    d conditional weights.
+    """
+    z = {s.d: {t: 1.0 for t in s.digits}}
+    powers = {}
+    for l in range(s.d, 0, -1):
+        e = math.log(s.bases[l - 1]) / math.log(s.bases[min(l, s.d - 1)])
+        powers[l] = {q: v**e for q, v in z[l].items()}
+        z[l - 1] = {}
+        for q, v in powers[l].items():
+            z[l - 1][q[:-1]] = z[l - 1].get(q[:-1], 0.0) + v
+    return {
+        t: math.prod(powers[l][t[:l]] / z[l - 1][t[: l - 1]] for l in range(1, s.d + 1))
+        for t in s.digits
+    }
+
+
 def alphabet_intervals(base: int, alphabet, level: int) -> list[tuple[Fraction, Fraction]]:
     """Level-``level`` intervals of the IFS {x -> (x + j)/base : j in alphabet}."""
     out = []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spongedim as sd
+import _oracles as oracle
 from conftest import random_strict_sponge
 
 LOG2, LOG3, LOG4, LOG5 = (math.log(n) for n in (2, 3, 4, 5))
@@ -134,6 +135,32 @@ class TestOrderingChain:
             assert sd.dichotomy(s) is sd.Dichotomy.ALL_DISTINCT
             assert b < a - 1e-12
             assert lo < h - 1e-12
+
+
+class TestLedrappierYoungOracle:
+    """hausdorff_dim is the largest Ledrappier-Young dimension of a Bernoulli measure."""
+
+    @staticmethod
+    def _check(s, rng, draws):
+        target = sd.hausdorff_dim(s)
+        best = oracle.ledrappier_young_dim(s, oracle.full_dimension_weights(s))
+        assert abs(best - target) <= 1e-12
+        for _ in range(draws):
+            ints = [rng.randint(1, 50) for _ in s.digits]
+            weights = {t: a / sum(ints) for t, a in zip(s.digits, ints)}
+            assert oracle.ledrappier_young_dim(s, weights) <= target + 1e-12
+
+    @pytest.mark.parametrize(
+        "name", ["sponge_234", "carpet_24", "carpet_vssc_34", "sponge_344"]
+    )
+    def test_sample_specs(self, spec_dir, name):
+        self._check(sd.load_sponge(spec_dir / f"{name}.json"), random.Random(name), 200)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**5))
+    def test_random_strict_sponges(self, seed):
+        rng = random.Random(seed)
+        self._check(random_strict_sponge(rng), rng, 20)
 
 
 class TestLambdaFamily:
