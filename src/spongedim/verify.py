@@ -222,18 +222,18 @@ def _tangent_cover(
     `cap` while the choices are built, so a huge level is refused after a few
     positions rather than after all of them.
     """
-    word = tangent_word(s, R, mode)
-    ks = scale_exponents(s, R).k
-    if level < ks[0]:
-        raise ScaleOutOfRange(f"cover level {level} is coarser than the cube depth {ks[0]}")
-    tmap = TangentMap.from_cube(s, approximate_cube(s, word, R))
+    tmap = tangent_map(s, R, mode)
+    k1 = tmap.cube.exponents.k[0]
+    if level < k1:
+        raise ScaleOutOfRange(
+            f"cover level {level} is coarser than the cube depth {k1}"
+        )
     digits = sorted(s.digit_set)
     choices: list[tuple[DigitTuple, ...]] = []
     total = 1
     for t in range(level):
-        pinned = [l for l in range(s.d) if ks[l] > t]
-        fixed = word[t] if pinned else ()
-        choice = tuple(j for j in digits if all(j[l] == fixed[l] for l in pinned))
+        pinned = [(l, c[t]) for l, c in enumerate(tmap.cube.constraints) if len(c) > t]
+        choice = tuple(j for j in digits if all(j[l] == c for l, c in pinned))
         total *= len(choice)
         if total > cap:
             raise EnumerationTooLarge(f"rescaled cover needs more than {cap} boxes")
@@ -453,7 +453,9 @@ def check_tangent_convergence(
     ks = scale_exponents(s, R)
     k1 = ks.k[0]
     if level <= k1:
-        raise ScaleOutOfRange(f"need cover level > {k1} to refine the cube at this scale")
+        raise ScaleOutOfRange(
+            f"need cover level > {k1} to refine the cube at this scale"
+        )
     refinement = level - k1
     alphabets = hat_digit_alphabets(s, mode)
     _require_interior(s, alphabets)
@@ -1081,23 +1083,19 @@ def _doubling_verdict(
 # serialization
 
 
-def _doc(value: object) -> object:
-    """``value`` as JSON data; see ``report_to_json``."""
-    if is_dataclass(value):
-        return {
-            f.name: _doc(getattr(value, f.name))
-            for f in fields(value)
-            if f.metadata.get("document", True)
-        }
-    if isinstance(value, dict):
-        return {key: _doc(item) for key, item in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_doc(item) for item in value]
+def _plain(value: object) -> object:
+    """What ``json`` cannot write itself, as JSON data; see ``report_to_json``."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, enum.Enum):
         return value.value
-    return value
+    if is_dataclass(value):
+        return {
+            f.name: getattr(value, f.name)
+            for f in fields(value)
+            if f.metadata.get("document", True)
+        }
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def report_to_json(report: object) -> str:
@@ -1107,6 +1105,8 @@ def report_to_json(report: object) -> str:
     its fields in declaration order, except those whose metadata sets
     ``document`` to False; a mapping gives its items in order.  At any
     depth a Fraction is written "p/q", an enum as its value and a tuple as
-    a list; floats keep their repr round-trip.
+    a list; floats keep their repr round-trip.  Nested values are converted
+    as ``json`` reaches them, so nothing is copied ahead of the writing.
     """
-    return json.dumps({"schema_version": 1, **_doc(report)}, indent=2)
+    body = _plain(report) if is_dataclass(report) else report
+    return json.dumps({"schema_version": 1, **body}, indent=2, default=_plain)
