@@ -102,16 +102,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--scale", required=True, type=_parse_scale)
 
-    for name, depth, text in (("scan", 40, "cube-mass sandwich scan"),
-                              ("ball-scan", 8, "ball-mass scaling scan (needs VSSC)")):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("file")
-        if name == "scan":
-            p.add_argument("--measure", help="weight file; default coordinate uniform")
-        p.add_argument("--samples", required=True, type=int)
-        p.add_argument("--seed", required=True, type=int)
-        p.add_argument("--depth", type=int, default=depth)
-        p.add_argument("--samples-csv", help="also dump per-sample rows to a file")
+    p = sub.add_parser("scan", help="cube-mass sandwich scan")
+    p.add_argument("file")
+    p.add_argument("--measure", help="weight file; default coordinate uniform")
+    p.add_argument("--samples", required=True, type=int)
+    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--depth", type=int, default=40)
+    p.add_argument("--samples-csv", help="also dump per-sample rows to a file")
+
+    p = sub.add_parser("ball-scan", help="ball-mass scaling scan (needs VSSC)")
+    p.add_argument("file")
+    p.add_argument("--samples", required=True, type=int)
+    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--samples-csv", help="also dump per-sample rows to a file")
 
     p = sub.add_parser("doubling", help="adjacent-cube ratio growth")
     p.add_argument("file")

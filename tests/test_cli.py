@@ -1,8 +1,8 @@
 """End-to-end command-line checks.
 
-Every subcommand is exercised in-process through run().  Output paths are
-compared byte-for-byte against the library serializers the commands wrap,
-so any drift between the two surfaces fails here.
+Every subcommand is exercised in-process through run(), and its documents
+are read back as JSON.  The exact bytes of seeded output are pinned in
+test_output_pins.py.
 """
 
 import json
