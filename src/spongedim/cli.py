@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .errors import SpongeError
-from .cubes import boxes_to_csv, boxes_to_svg, count_cubes, prefractal
+from .cubes import _check_planar, boxes_to_csv, boxes_to_svg, count_cubes, prefractal
 from .dims import dim_report, lg_family_csv
 from .measure import (
     coordinate_uniform,
@@ -258,16 +258,17 @@ def _cmd_family_lg(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
-    boxes = prefractal(s, args.level)
     if args.out.endswith(".svg"):
-        text = boxes_to_svg(boxes)
+        _check_planar(s.d)
+        export = boxes_to_svg
     elif args.out.endswith(".csv"):
-        text = boxes_to_csv(boxes)
+        export = boxes_to_csv
     else:
         print("error: --out must end in .svg or .csv", file=sys.stderr)
         return 2
+    boxes = prefractal(s, args.level)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(export(boxes))
     print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
     return 0
 

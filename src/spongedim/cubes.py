@@ -7,7 +7,9 @@ geometrically it is a box whose side in coordinate l lies in [r, n_l * r).
 Everything here is computed in exact rational arithmetic: scales are
 fractions and depth thresholds are decided by integer comparisons, never by
 floating point logarithms, so boundary scales such as r = n_l^-k land on the
-correct side.
+correct side.  A level-m cover keeps every corner as an integer over n_l^m:
+one numerator column and one denominator per coordinate, which the CSV and
+SVG exporters format without building a Fraction per box.
 """
 
 from __future__ import annotations
@@ -76,19 +78,30 @@ class ApproximateCube:
 
 @dataclass(frozen=True)
 class BoxSet:
-    """An ordered collection of closed axis-aligned boxes in [0,1]^d."""
+    """An ordered collection of closed axis-aligned boxes in [0,1]^d.
 
-    boxes: tuple[Box, ...]
+    Box i is the lattice cell whose coordinate l is
+    [columns[l][i] / dens[l], (columns[l][i] + 1) / dens[l]]; every corner is
+    an integer over n_l^m.  The exporters format straight from the columns,
+    and ``boxes`` builds the exact Fraction boxes on demand.
+    """
+
+    columns: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return len(self.columns[0])
 
     def __iter__(self):
         return iter(self.boxes)
 
     @property
+    def boxes(self) -> tuple[Box, ...]:
+        return lattice_boxes(self.columns, self.dens)
+
+    @property
     def d(self) -> int:
-        return len(self.boxes[0]) if self.boxes else 0
+        return len(self.dens)
 
 
 def scale_exponents(s: Sponge, r: ScaleLike) -> ScaleExponents:
@@ -251,8 +264,7 @@ def lattice_boxes(columns: Sequence[Sequence[int]], dens: Sequence[int]) -> tupl
     """Boxes whose coordinate l is [v/dens[l], (v+1)/dens[l]] for v in columns[l].
 
     Each distinct numerator of a coordinate is turned into one interval of
-    Fractions that every box holding it shares, so the exporters can format
-    it once.
+    Fractions that every box holding it shares.
     """
     per_coord = []
     for column, den in zip(columns, dens):
@@ -273,76 +285,64 @@ def prefractal(s: Sponge, level: int, cap: int = DEFAULT_CAP) -> BoxSet:
         raise EnumerationTooLarge(
             f"{len(s.digits)}^{level} boxes exceed the cap of {cap}"
         )
-    columns = [
-        lattice_column(n, [[t[l] for t in s.digits]] * level)
+    columns = tuple(
+        tuple(lattice_column(n, [[t[l] for t in s.digits]] * level))
         for l, n in enumerate(s.bases)
-    ]
-    return BoxSet(lattice_boxes(columns, [n**level for n in s.bases]))
+    )
+    return BoxSet(columns, tuple(n**level for n in s.bases))
+
+
+def _check_planar(d: int) -> None:
+    if d != 2:
+        raise SpongeError(f"SVG rendering needs a planar set, got d = {d}")
+
+
+def _reduced(v: int, den: int) -> str:
+    """v/den in lowest terms, formatted as Fraction formats it."""
+    g = math.gcd(v, den)
+    return f"{v // g}/{den // g}"
+
+
+def _interleave(tables: Sequence[dict[int, str]], bs: BoxSet) -> str:
+    """Box by box, tables[l][v] for the numerator v of each coordinate l.
+
+    Every distinct numerator is formatted once, into its table, and the
+    cells are written into one flat list, so no per-box string is built.
+    """
+    d = len(tables)
+    parts = [""] * (d * len(bs))
+    for l, (table, column) in enumerate(zip(tables, bs.columns)):
+        parts[l::d] = map(table.__getitem__, column)
+    return "".join(parts)
 
 
 def boxes_to_csv(bs: BoxSet) -> str:
     """CSV dump with exact rational corners, columns lo_1,hi_1,...,lo_d,hi_d."""
-    d = bs.d
-    header = ",".join(f"lo_{l+1},hi_{l+1}" for l in range(d))
-    lines = [header]
-    # Memo keyed by interval identity: boxes built by lattice_boxes share
-    # their intervals, and ``bs`` keeps every interval alive, so ids stay
-    # unique for the whole call.
-    memo: dict[int, str] = {}
-    for box in bs:
-        cells: list[str] = []
-        for interval in box:
-            cell = memo.get(id(interval))
-            if cell is None:
-                lo, hi = interval
-                cell = f"{lo.numerator}/{lo.denominator},{hi.numerator}/{hi.denominator}"
-                memo[id(interval)] = cell
-            cells.append(cell)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _interval_floats(interval: Interval) -> tuple[float, float, float]:
-    """float(lo), float(hi) and float(hi - lo), each correctly rounded.
-
-    Dividing integers rounds correctly, as Fraction.__float__ does, so this
-    gives the same floats without building the Fraction hi - lo.
-    """
-    lo, hi = interval
-    a, b = lo.numerator, lo.denominator
-    c, e = hi.numerator, hi.denominator
-    return a / b, c / e, (c * b - a * e) / (b * e)
+    header = ",".join(f"lo_{l+1},hi_{l+1}" for l in range(bs.d))
+    seps = [","] * (bs.d - 1) + ["\n"]
+    tables = [
+        {v: f"{_reduced(v, den)},{_reduced(v + 1, den)}{sep}" for v in set(column)}
+        for column, den, sep in zip(bs.columns, bs.dens, seps)
+    ]
+    return header + "\n" + _interleave(tables, bs)
 
 
 def boxes_to_svg(bs: BoxSet) -> str:
     """Plain SVG rendering of a planar box set on the unit square.
 
     Only defined for d = 2.  The vertical axis is flipped so the origin sits
-    at the bottom-left, and no external styling is referenced.
+    at the bottom-left, and no external styling is referenced.  Corners are
+    integer quotients, which round correctly as Fraction.__float__ does.
     """
-    if bs.d != 2:
-        raise SpongeError(f"SVG rendering needs a planar set, got d = {bs.d}")
-    parts = [
+    _check_planar(bs.d)
+    (cx, cy), (dx, dy) = bs.columns, bs.dens
+    tail = (f' width="{1 / dx:.12g}" height="{1 / dy:.12g}" '
+            'fill="#1f3a5f" fill-opacity="0.85"/>\n')
+    xs = {v: f'<rect x="{v / dx:.12g}" ' for v in set(cx)}
+    ys = {v: f'y="{1.0 - (v + 1) / dy:.12g}"{tail}' for v in set(cy)}
+    return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1" '
-        'width="640" height="640">',
-        '<rect x="0" y="0" width="1" height="1" fill="#ffffff"/>',
-    ]
-    # Interval-identity memos, one per axis; see boxes_to_csv.
-    xs: dict[int, tuple[str, str]] = {}
-    ys: dict[int, tuple[str, str]] = {}
-    for x_iv, y_iv in bs:
-        x_attrs = xs.get(id(x_iv))
-        if x_attrs is None:
-            x, _, w = _interval_floats(x_iv)
-            x_attrs = xs[id(x_iv)] = (f'x="{x:.12g}"', f'width="{w:.12g}"')
-        y_attrs = ys.get(id(y_iv))
-        if y_attrs is None:
-            _, y_hi, h = _interval_floats(y_iv)
-            y = 1.0 - y_hi
-            y_attrs = ys[id(y_iv)] = (f'y="{y:.12g}"', f'height="{h:.12g}"')
-        parts.append(
-            f"<rect {x_attrs[0]} {y_attrs[0]} {x_attrs[1]} {y_attrs[1]} "
-            'fill="#1f3a5f" fill-opacity="0.85"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        'width="640" height="640">\n'
+        '<rect x="0" y="0" width="1" height="1" fill="#ffffff"/>\n'
+        + _interleave([xs, ys], bs) + "</svg>\n"
+    )

@@ -20,9 +20,7 @@ from typing import Iterator
 
 from .errors import InternalError, NonStrictBases, ScaleOutOfRange
 from .model import Prefix, Sponge, has_uniform_fibres
-
-# Z >= Z' must hold exactly; allow only float noise.
-_RECURSION_TOL = 1e-9
+from .tolerances import _RECURSION_TOL
 
 
 def _require_strict(s: Sponge, what: str) -> None:

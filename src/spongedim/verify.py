@@ -40,9 +40,7 @@ from .cubes import (
     _column_width,
     approximate_cube,
     count_cubes,
-    exceeds_cap,
     geometric_box,
-    lattice_boxes,
     lattice_column,
     scale_exponents,
 )
@@ -54,12 +52,7 @@ from .measure import (
     cube_measure,
 )
 from .model import DigitTuple, Sponge, satisfies_vssc
-
-# Slack for float comparisons of quantities that are exact in principle.
-_EPS = 1e-9
-
-# A growth rate must exceed 1 by this much before non-doubling is declared.
-GROWTH_TOL = 1e-6
+from .tolerances import _EPS, GROWTH_TOL
 
 
 class Mode(enum.Enum):
@@ -175,39 +168,6 @@ def _require_interior(s: Sponge, alphabets: Sequence[Sequence[int]]) -> None:
             )
 
 
-def hat_set_prefractal(
-    s: Sponge, mode: Mode, level: int, cap: int = DEFAULT_CAP
-) -> BoxSet:
-    """Level-`level` cover of the product tangent set as a box set.
-
-    A coordinate whose alphabet is the full digit range contributes the
-    single interval [0,1] (its factor is the whole interval); every other
-    coordinate contributes its one-dimensional pre-fractal intervals.
-    """
-    if level < 0:
-        raise ScaleOutOfRange(f"level must be >= 0, got {level}")
-    alphabets = hat_digit_alphabets(s, mode)
-    _require_interior(s, alphabets)
-    one = Fraction(1)
-    lists: list[list[tuple[Fraction, Fraction]]] = []
-    total = 1
-    for l, alpha in enumerate(alphabets):
-        if len(alpha) == s.bases[l]:
-            lists.append([(Fraction(0), one)])
-        else:
-            if exceeds_cap(len(alpha), level, cap, start=total):
-                raise EnumerationTooLarge(
-                    f"tangent-set cover needs more than {cap} boxes"
-                )
-            total *= len(alpha) ** level
-            den = s.bases[l] ** level
-            lists.append([
-                (Fraction(v, den), Fraction(v + 1, den))
-                for v in lattice_column(s.bases[l], [sorted(alpha)] * level)
-            ])
-    return BoxSet(tuple(itertools.product(*lists)))
-
-
 # ---------------------------------------------------------------------------
 # rescaled cube pieces
 
@@ -252,15 +212,15 @@ def tangent_image(
     image box is a cell of the grid of side n_l^-(level - k_l).
     """
     tmap, choices = _tangent_cover(s, R, mode, level, cap)
-    columns: list[list[int]] = []
+    columns: list[tuple[int, ...]] = []
     dens: list[int] = []
     for l, n in enumerate(s.bases):
         off = tmap.offsets[l]
         shift = off.numerator * (n**level // off.denominator)
         column = lattice_column(n, [[j[l] for j in c] for c in choices])
-        columns.append([v - shift for v in column])
+        columns.append(tuple(v - shift for v in column))
         dens.append(n ** (level - tmap.cube.exponents.k[l]))
-    return BoxSet(lattice_boxes(columns, dens))
+    return BoxSet(tuple(columns), tuple(dens))
 
 
 # ---------------------------------------------------------------------------

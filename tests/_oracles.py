@@ -12,9 +12,12 @@ from fractions import Fraction
 from spongedim import (
     ApproximateCube,
     BernoulliMeasure,
+    EnumerationTooLarge,
+    ScaleOutOfRange,
     Sponge,
     scale_exponents,
 )
+from spongedim.cubes import DEFAULT_CAP, exceeds_cap, lattice_column
 
 Signature = tuple[tuple[int, ...], ...]
 
@@ -392,6 +395,56 @@ def boxes_svg(boxes) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def tangent_image_boxes(s: Sponge, R, mode, level: int):
+    """Exact tangent-image boxes, in word order.
+
+    Keeps the level-``level`` pre-fractal boxes that lie in the tangent
+    cube's box and applies the tangent map to each corner in Fractions.
+    """
+    from spongedim import geometric_box, tangent_map
+
+    tmap = tangent_map(s, R, mode)
+    cube = geometric_box(s, tmap.cube)
+    return tuple(
+        tmap.apply_box(box)
+        for box in prefractal_boxes(s, level)
+        if all(clo <= lo and hi <= chi for (clo, chi), (lo, hi) in zip(cube, box))
+    )
+
+
+def hat_set_prefractal(s: Sponge, mode, level: int, cap: int = DEFAULT_CAP):
+    """Level-``level`` cover of the product tangent set, as Fraction boxes.
+
+    A coordinate whose alphabet is the full digit range contributes the
+    single interval [0,1] (its factor is the whole interval); every other
+    coordinate contributes its one-dimensional pre-fractal intervals.
+    """
+    from spongedim import hat_digit_alphabets
+    from spongedim.verify import _require_interior
+
+    if level < 0:
+        raise ScaleOutOfRange(f"level must be >= 0, got {level}")
+    alphabets = hat_digit_alphabets(s, mode)
+    _require_interior(s, alphabets)
+    lists = []
+    total = 1
+    for l, alpha in enumerate(alphabets):
+        if len(alpha) == s.bases[l]:
+            lists.append([(Fraction(0), Fraction(1))])
+        else:
+            if exceeds_cap(len(alpha), level, cap, start=total):
+                raise EnumerationTooLarge(
+                    f"tangent-set cover needs more than {cap} boxes"
+                )
+            total *= len(alpha) ** level
+            den = s.bases[l] ** level
+            lists.append([
+                (Fraction(v, den), Fraction(v + 1, den))
+                for v in lattice_column(s.bases[l], [sorted(alpha)] * level)
+            ])
+    return tuple(itertools.product(*lists))
 
 
 def tangent_leaf_boxes(s: Sponge, R, mode, level: int):

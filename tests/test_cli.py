@@ -477,6 +477,20 @@ class TestRender:
         assert rc == 2
         assert ".svg or .csv" in err
 
+    @pytest.mark.parametrize("out, code", [("cover.txt", 2), ("cover.svg", 1)])
+    def test_refusals_precede_enumeration(self, capsys, spec_dir, tmp_path, out, code):
+        """A bad suffix, or SVG of a 3-d sponge, is refused before 10^7 boxes are built."""
+        start = time.perf_counter()
+        rc, _, err = invoke(
+            capsys, "render", str(spec_dir / "sponge_234.json"),
+            "--level", "7", "--out", str(tmp_path / out),
+        )
+        elapsed = time.perf_counter() - start
+        assert rc == code
+        assert ".svg or .csv" in err if code == 2 else "planar" in err
+        assert not (tmp_path / out).exists()
+        assert elapsed < 0.5
+
 
 class TestSizeCaps:
     """Oversized levels, grids and scans are refused before any sized work starts."""

@@ -324,14 +324,24 @@ class TestExportOracle:
             if s.d == 2:
                 assert sd.boxes_to_svg(bs) == oracle.boxes_svg(expected)
 
-    def test_unshared_intervals_export_alike(self, carpet_24):
-        """Boxes built by hand, with no shared intervals, export the same."""
-        bs = sd.prefractal(carpet_24, 3)
-        copied = sd.BoxSet(tuple(
-            tuple((Fraction(lo), Fraction(hi)) for lo, hi in box) for box in bs
-        ))
-        assert sd.boxes_to_csv(copied) == sd.boxes_to_csv(bs)
-        assert sd.boxes_to_svg(copied) == sd.boxes_to_svg(bs)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**5), level=st.integers(0, 4), depth=st.integers(0, 2))
+    def test_random_sponges_export_alike(self, seed, level, depth):
+        """Column exports of pre-fractals and tangent images match the oracle."""
+        s = random_strict_sponge(random.Random(seed), max_base=5, max_digits=6)
+        bs = sd.prefractal(s, level)
+        expected = oracle.prefractal_boxes(s, level)
+        assert sd.boxes_to_csv(bs) == oracle.boxes_csv(expected)
+        if s.d == 2:
+            assert sd.boxes_to_svg(bs) == oracle.boxes_svg(expected)
+        R = Fraction(1, s.bases[0] ** depth)
+        if level < depth:
+            return
+        mode = sd.Mode.MAX if seed % 2 else sd.Mode.MIN
+        image = sd.tangent_image(s, R, mode, level)
+        assert sd.boxes_to_csv(image) == oracle.boxes_csv(
+            oracle.tangent_image_boxes(s, R, mode, level)
+        )
 
 
 class TestInvariantChecks:
