@@ -44,15 +44,16 @@ _MAX_DENOMINATOR = 10**9
 def _parse_scale(text: str) -> Fraction:
     """Exact 'p/q' or decimal scale; out-of-range decimals are snapped.
 
-    Decimals convert exactly when possible; otherwise the nearest rational
-    with denominator <= 10^9 is used and the substitution is reported,
-    because exactness matters at bracket boundaries r = n_l^-k.
+    'p/q' is always kept exact.  Decimals convert exactly when possible;
+    otherwise the nearest rational with denominator <= 10^9 is used and the
+    substitution is reported, because exactness matters at bracket
+    boundaries r = n_l^-k.
     """
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational or decimal: {text!r}")
-    if value.denominator > _MAX_DENOMINATOR:
+    if "/" not in text and value.denominator > _MAX_DENOMINATOR:
         snapped = value.limit_denominator(_MAX_DENOMINATOR)
         print(
             f"note: scale {text} snapped to "

@@ -47,9 +47,7 @@ def as_scale(r: ScaleLike) -> Fraction:
     """
     if isinstance(r, Fraction):
         return r
-    if isinstance(r, (int, str)):
-        return Fraction(r)
-    if isinstance(r, float):
+    if isinstance(r, (int, str, float)):
         return Fraction(r)
     raise TypeError(f"cannot interpret {r!r} as a scale")
 
@@ -191,14 +189,12 @@ def count_cubes(s: Sponge, r: ScaleLike) -> int:
     return total
 
 
-def subcubes(
-    s: Sponge, q: ApproximateCube, r: ScaleLike, cap: int = DEFAULT_CAP
-) -> list[ApproximateCube]:
+def subcubes(s: Sponge, q: ApproximateCube, r: ScaleLike) -> list[ApproximateCube]:
     """All scale-r cubes whose symbolic set lies inside q, in canonical order.
 
     Positions are extended outermost first and the candidates at each
     position run lexicographically, so the output order is deterministic.
-    Raises EnumerationTooLarge when the exact count exceeds ``cap``.
+    Raises EnumerationTooLarge when the exact count exceeds DEFAULT_CAP.
     """
     ks_r = scale_exponents(s, r)
     if ks_r.scale >= q.scale:
@@ -218,8 +214,8 @@ def subcubes(
     total = 1
     for options in candidates:
         total *= len(options)
-    if total > cap:
-        raise EnumerationTooLarge(f"{total} sub-cubes exceed the cap of {cap}")
+    if total > DEFAULT_CAP:
+        raise EnumerationTooLarge(f"{total} sub-cubes exceed the cap of {DEFAULT_CAP}")
 
     out: list[ApproximateCube] = []
     for combo in itertools.product(*candidates):
@@ -273,7 +269,7 @@ def lattice_boxes(columns: Sequence[Sequence[int]], dens: Sequence[int]) -> tupl
     return tuple(zip(*per_coord))
 
 
-def prefractal(s: Sponge, level: int, cap: int = DEFAULT_CAP) -> BoxSet:
+def prefractal(s: Sponge, level: int) -> BoxSet:
     """The level-m cover of the sponge: one box per length-m word.
 
     Boxes are images of the unit cube under m-fold map compositions; they are
@@ -281,9 +277,9 @@ def prefractal(s: Sponge, level: int, cap: int = DEFAULT_CAP) -> BoxSet:
     """
     if level < 0:
         raise ScaleOutOfRange(f"pre-fractal level must be >= 0, got {level}")
-    if exceeds_cap(len(s.digits), level, cap):
+    if exceeds_cap(len(s.digits), level, DEFAULT_CAP):
         raise EnumerationTooLarge(
-            f"{len(s.digits)}^{level} boxes exceed the cap of {cap}"
+            f"{len(s.digits)}^{level} boxes exceed the cap of {DEFAULT_CAP}"
         )
     columns = tuple(
         tuple(lattice_column(n, [[t[l] for t in s.digits]] * level))

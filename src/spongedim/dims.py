@@ -16,9 +16,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .errors import InternalError, NonStrictBases, ScaleOutOfRange
+from .cubes import DEFAULT_CAP
+from .errors import EnumerationTooLarge, InternalError, NonStrictBases, ScaleOutOfRange
 from .model import Prefix, Sponge, has_uniform_fibres
 from .tolerances import _RECURSION_TOL
 
@@ -195,23 +195,22 @@ def lg_family_dims(lam: Fraction | float | str) -> tuple[float, float, float, fl
     return (lower, hausdorff, box, assouad)
 
 
-def lg_family_grid(
-    lo: Fraction, hi: Fraction, step: Fraction
-) -> Iterator[tuple[Fraction, float, float, float, float]]:
+def lg_family_csv(lo: Fraction, hi: Fraction, step: Fraction) -> str:
+    """Sweep the family over an exact grid; one CSV row per parameter.
+
+    The rows are counted, and refused above DEFAULT_CAP, before any is built.
+    """
     if step <= 0:
         raise ScaleOutOfRange(f"step must be positive, got {step}")
     if lo > hi:
         raise ScaleOutOfRange(f"empty parameter range [{lo}, {hi}]")
-    lam = lo
-    while lam <= hi:
-        yield (lam,) + lg_family_dims(lam)
-        lam += step
-
-
-def lg_family_csv(lo: Fraction, hi: Fraction, step: Fraction) -> str:
-    """Sweep the family over an exact grid; one CSV row per parameter."""
+    rows = (hi - lo) // step + 1
+    if rows > DEFAULT_CAP:
+        raise EnumerationTooLarge(f"{rows} rows exceed the cap of {DEFAULT_CAP}")
     lines = ["lambda,lower,hausdorff,box,assouad"]
-    for lam, lower, hausdorff, box, assouad in lg_family_grid(lo, hi, step):
+    for k in range(rows):
+        lam = lo + k * step
+        lower, hausdorff, box, assouad = lg_family_dims(lam)
         lines.append(
             f"{lam.numerator}/{lam.denominator},"
             f"{lower!r},{hausdorff!r},{box!r},{assouad!r}"

@@ -179,7 +179,6 @@ def ball_measure_bounds(
     center: Sequence[ScaleLike],
     radius: ScaleLike,
     depth: int,
-    cap: int = DEFAULT_CAP,
 ) -> tuple[RationalLog, RationalLog]:
     """Exact lower/upper brackets for the mass of a Euclidean ball.
 
@@ -200,10 +199,10 @@ def ball_measure_bounds(
     s = m.sponge
     if depth < 0:
         raise ScaleOutOfRange(f"depth must be >= 0, got {depth}")
-    c = tuple(Fraction(x) if isinstance(x, (int, Fraction)) else as_scale(x) for x in center)
+    c = tuple(map(as_scale, center))
     if len(c) != s.d:
         raise DigitOutOfRange(f"center has {len(c)} coordinates, expected {s.d}")
-    rad = Fraction(radius) if isinstance(radius, (int, Fraction)) else as_scale(radius)
+    rad = as_scale(radius)
     if rad < 0:
         raise ScaleOutOfRange(f"radius must be >= 0, got {rad}")
     cb = [x.denominator for x in c]
@@ -227,6 +226,7 @@ def ball_measure_bounds(
         return xs, weights, total * rad.numerator**2
 
     visited = 0
+    cap = DEFAULT_CAP  # a local, read once per node below
     # (level, per-coordinate lower corners over b_l * n_l^level, mass over Q^level)
     stack = [(0, (0,) * s.d, 1)]
     while stack:

@@ -53,11 +53,15 @@ class Sponge:
 
     bases: tuple[int, ...]
     digits: tuple[DigitTuple, ...]
-    strict_bases: bool
 
     @property
     def d(self) -> int:
         return len(self.bases)
+
+    @cached_property
+    def strict_bases(self) -> bool:
+        """True when every base strictly exceeds the previous one."""
+        return all(a < b for a, b in zip(self.bases, self.bases[1:]))
 
     @cached_property
     def digit_set(self) -> frozenset[DigitTuple]:
@@ -114,8 +118,8 @@ def validate_sponge(bases: Sequence[int], digits: Iterable[Sequence[int]]) -> Sp
     Digit input is treated with set semantics: duplicates collapse and the
     stored order is lexicographic.  Raises DecreasingBases, DigitOutOfRange,
     EmptyOrSingletonDigits or DegenerateCoordinate as appropriate.  Equal
-    neighbouring bases are accepted; the result only records, via
-    ``strict_bases``, whether every base strictly exceeds the previous one.
+    neighbouring bases are accepted; the result's ``strict_bases`` says
+    whether every base strictly exceeds the previous one.
     """
     base_tuple = tuple(int(b) for b in bases)
     d = len(base_tuple)
@@ -150,33 +154,7 @@ def validate_sponge(bases: Sequence[int], digits: Iterable[Sequence[int]]) -> Sp
             reduced_digits = sorted({t[:l] + t[l + 1 :] for t in distinct})
             raise DegenerateCoordinate(l + 1, reduced_bases, reduced_digits)
 
-    strict = all(a < b for a, b in zip(base_tuple, base_tuple[1:]))
-    return Sponge(base_tuple, tuple(distinct), strict)
-
-
-def project(t: Sequence[int], l: int) -> Prefix:
-    """First-l-coordinates projection of a digit tuple or prefix.
-
-    l = 0 is allowed and yields the empty prefix.
-    """
-    if not 0 <= l <= len(t):
-        raise PrefixNotInSponge(f"projection level {l} is outside [0, {len(t)}]")
-    return tuple(t[:l])
-
-
-def digit_set_projection(s: Sponge, l: int) -> tuple[Prefix, ...]:
-    """The sorted level-l projection of the digit set, 1 <= l <= d."""
-    if not 1 <= l <= s.d:
-        raise PrefixNotInSponge(f"projection level {l} is outside [1, {s.d}]")
-    return s.level_sets[l]
-
-
-def fibre_count(s: Sponge, p: Sequence[int]) -> int:
-    """Number of ways to extend the prefix p by one more coordinate.
-
-    The empty prefix gives the size of the first-coordinate projection.
-    """
-    return s.fibre_count(tuple(p))
+    return Sponge(base_tuple, tuple(distinct))
 
 
 def has_uniform_fibres(s: Sponge) -> bool:
@@ -199,12 +177,6 @@ def satisfies_vssc(s: Sponge) -> bool:
         for level in s.fibres
         for values in level.values()
         for a, b in zip(values, values[1:])
-    )
-
-
-def sponge_to_json(s: Sponge) -> str:
-    return json.dumps(
-        {"bases": list(s.bases), "digits": [list(t) for t in s.digits]}
     )
 
 

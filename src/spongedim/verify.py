@@ -173,14 +173,14 @@ def _require_interior(s: Sponge, alphabets: Sequence[Sequence[int]]) -> None:
 
 
 def _tangent_cover(
-    s: Sponge, R: ScaleLike, mode: Mode, level: int, cap: int
+    s: Sponge, R: ScaleLike, mode: Mode, level: int
 ) -> tuple[TangentMap, list[tuple[DigitTuple, ...]]]:
     """The tangent cube's map and the admissible digits at each word position.
 
     The length-`level` words inside the cube of the tangent word are the
     products of these per-position choices.  Their count is checked against
-    `cap` while the choices are built, so a huge level is refused after a few
-    positions rather than after all of them.
+    DEFAULT_CAP while the choices are built, so a huge level is refused
+    after a few positions rather than after all of them.
     """
     tmap = tangent_map(s, R, mode)
     k1 = tmap.cube.exponents.k[0]
@@ -195,15 +195,13 @@ def _tangent_cover(
         pinned = [(l, c[t]) for l, c in enumerate(tmap.cube.constraints) if len(c) > t]
         choice = tuple(j for j in digits if all(j[l] == c for l, c in pinned))
         total *= len(choice)
-        if total > cap:
-            raise EnumerationTooLarge(f"rescaled cover needs more than {cap} boxes")
+        if total > DEFAULT_CAP:
+            raise EnumerationTooLarge(f"rescaled cover needs more than {DEFAULT_CAP} boxes")
         choices.append(choice)
     return tmap, choices
 
 
-def tangent_image(
-    s: Sponge, R: ScaleLike, mode: Mode, level: int, cap: int = DEFAULT_CAP
-) -> BoxSet:
+def tangent_image(s: Sponge, R: ScaleLike, mode: Mode, level: int) -> BoxSet:
     """Rescale the level-`level` cover of the tangent cube to the unit cube.
 
     Enumerates the words of length `level` lying in the cube of the tangent
@@ -211,7 +209,7 @@ def tangent_image(
     rescaling map.  All corners stay exact rationals: coordinate l of an
     image box is a cell of the grid of side n_l^-(level - k_l).
     """
-    tmap, choices = _tangent_cover(s, R, mode, level, cap)
+    tmap, choices = _tangent_cover(s, R, mode, level)
     columns: list[tuple[int, ...]] = []
     dens: list[int] = []
     for l, n in enumerate(s.bases):
@@ -383,7 +381,7 @@ class TangentConvergence:
 
 
 def check_tangent_convergence(
-    s: Sponge, R: ScaleLike, mode: Mode, level: int, cap: int = DEFAULT_CAP
+    s: Sponge, R: ScaleLike, mode: Mode, level: int
 ) -> TangentConvergence:
     """Compare the rescaled cube piece at scale R against the product cover.
 
@@ -419,7 +417,7 @@ def check_tangent_convergence(
     refinement = level - k1
     alphabets = hat_digit_alphabets(s, mode)
     _require_interior(s, alphabets)
-    tmap, choices = _tangent_cover(s, R, mode, level, cap)
+    tmap, choices = _tangent_cover(s, R, mode, level)
     tree = _CoverTree.build(s, tmap, choices)
 
     factors: list[tuple[list[float], list[float]]] = []
@@ -676,7 +674,6 @@ def scan_ball_ratios_vssc(
     samples: int,
     seed: int,
     depth: int = 8,
-    cap: int = DEFAULT_CAP,
 ) -> ScanReport:
     """Ball-mass scaling scan with the sharp constants, under separation.
 
@@ -706,8 +703,8 @@ def scan_ball_ratios_vssc(
         center = _tau_point(s, word, tail)
         big = Fraction(1, 2 * n1**a)
         small = Fraction(1, 2 * n1**b)
-        blo, bhi = ball_measure_bounds(m, center, big, b + 3, cap)
-        slo, shi = ball_measure_bounds(m, center, small, b + 3, cap)
+        blo, bhi = ball_measure_bounds(m, center, big, b + 3)
+        slo, shi = ball_measure_bounds(m, center, small, b + 3)
         low = blo.log_value - shi.log_value  # -inf when blo is 0
         high = bhi.log_value - slo.log_value  # +inf when slo is 0
         return a, b, word, "|" + _word_label([tail]), small, big, low, high
@@ -798,12 +795,12 @@ class _DepthPlan:
     positions of what each position's tuple adds to it.
     """
 
-    def __init__(self, s: Sponge, k: int, cap: int) -> None:
+    def __init__(self, s: Sponge, k: int) -> None:
         r = Fraction(1, s.bases[0] ** k)
         count = count_cubes(s, r)
-        if count > cap:
+        if count > DEFAULT_CAP:
             raise EnumerationTooLarge(
-                f"depth {k} needs {count} cubes, over the cap {cap}"
+                f"depth {k} needs {count} cubes, over the cap {DEFAULT_CAP}"
             )
         ks = scale_exponents(s, r).k
         self.sponge = s
@@ -949,9 +946,7 @@ def _slope(points: list[tuple[float, float]]) -> float:
     return sxy / sxx
 
 
-def doubling_report(
-    s: Sponge, m: BernoulliMeasure, max_depth: int, cap: int = DEFAULT_CAP
-) -> DoublingReport:
+def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingReport:
     """Adjacent-cube mass ratios per depth and their geometric growth.
 
     At each depth k the scale-(n_1^-k) cubes are enumerated with their
@@ -974,14 +969,11 @@ def doubling_report(
     rise monotonically across three consecutive depths with a strict net
     gain, so transient bumps are not flagged.
     """
-    return next(doubling_reports(s, [m], max_depth, cap))
+    return next(doubling_reports(s, [m], max_depth))
 
 
 def doubling_reports(
-    s: Sponge,
-    measures: Iterable[BernoulliMeasure],
-    max_depth: int,
-    cap: int = DEFAULT_CAP,
+    s: Sponge, measures: Iterable[BernoulliMeasure], max_depth: int
 ) -> Iterator[DoublingReport]:
     """``doubling_report`` for each measure, drawn and reported one at a time.
 
@@ -992,7 +984,7 @@ def doubling_reports(
     """
     if max_depth < 1:
         raise ScaleOutOfRange(f"max_depth must be >= 1, got {max_depth}")
-    plans = [_DepthPlan(s, k, cap) for k in range(1, max_depth + 1)]
+    plans = [_DepthPlan(s, k) for k in range(1, max_depth + 1)]
     return (
         _doubling_verdict(
             plans, [plan.max_ratio_row(k, m) for k, plan in enumerate(plans, 1)]

@@ -189,6 +189,18 @@ class TestCount:
         assert rc == 0
         assert "snapped" in err
 
+    def test_exact_fraction_is_never_snapped(self, capsys, spec_dir):
+        rc, out, err = invoke(
+            capsys,
+            "count",
+            str(spec_dir / "sponge_234.json"),
+            "--scale",
+            "1/1073741824",
+        )
+        assert rc == 0
+        assert out == "512000000000000000000\n"
+        assert err == ""
+
 
 class TestScan:
     def test_clean_and_deterministic(self, capsys, spec_dir):
@@ -507,6 +519,7 @@ class TestSizeCaps:
              "--depth", "100000000"),
             ("ball-scan", "carpet_vssc_34.json", "--samples", "1", "--seed", "1",
              "--depth", "100000000"),
+            ("family-lg", "--min", "1/10", "--max", "1/2", "--step", "1/1000000000"),
         ],
     )
     def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv):

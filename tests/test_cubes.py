@@ -163,7 +163,7 @@ class TestSubcubes:
     def test_cap_triggers(self, sponge_234):
         q = sd.approximate_cube(sponge_234, [(0, 0, 0)], Fraction(1, 2))
         with pytest.raises(sd.EnumerationTooLarge):
-            sd.subcubes(sponge_234, q, Fraction(1, 1024), cap=10)
+            sd.subcubes(sponge_234, q, Fraction(1, 2**40))
 
     def test_count_sandwich(self, sponge_234):
         s = sponge_234
@@ -284,7 +284,7 @@ class TestPrefractal:
 
     def test_cap(self, sponge_234):
         with pytest.raises(sd.EnumerationTooLarge):
-            sd.prefractal(sponge_234, 9, cap=100)
+            sd.prefractal(sponge_234, 8)
 
 
     def test_cap_refuses_huge_level_without_forming_the_count(self, sponge_234):
@@ -347,6 +347,6 @@ class TestExportOracle:
 class TestInvariantChecks:
     def test_rising_depths_raise_internal_error(self):
         # bypasses validation, which never lets bases fall
-        s = sd.Sponge(bases=(4, 2), digits=((0, 0), (1, 1)), strict_bases=False)
+        s = sd.Sponge(bases=(4, 2), digits=((0, 0), (1, 1)))
         with pytest.raises(sd.InternalError):
             sd.scale_exponents(s, Fraction(1, 16))

@@ -96,12 +96,12 @@ class TestConditionals:
         s = sponge_234
         m = sd.coordinate_uniform(s)
         for l in range(s.d):
-            prefixes = [()] if l == 0 else sd.digit_set_projection(s, l)
+            prefixes = [()] if l == 0 else s.level_sets[l]
             for p in prefixes:
-                expected = Fraction(1, sd.fibre_count(s, p))
+                expected = Fraction(1, s.fibre_count(p))
                 for nxt in range(s.bases[l]):
                     got = sd.conditional_prob(m, p, nxt)
-                    if tuple(p) + (nxt,) in set(sd.digit_set_projection(s, l + 1)):
+                    if tuple(p) + (nxt,) in set(s.level_sets[l + 1]):
                         assert got == expected
                     else:
                         assert got == 0

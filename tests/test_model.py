@@ -56,66 +56,47 @@ class TestValidation:
 
 
 class TestProjection:
-    def test_truncation(self):
-        assert sd.project((1, 2, 3), 2) == (1, 2)
-
-    def test_empty_projection(self):
-        assert sd.project((0, 1, 2), 0) == ()
-
-    def test_identity_projection(self):
-        assert sd.project((1, 1, 2), 3) == (1, 1, 2)
-
-    def test_out_of_range_level(self):
-        with pytest.raises(sd.SpongeError):
-            sd.project((1, 2, 3), 4)
-
     def test_digit_set_projection_levels(self, sponge_234):
-        assert set(sd.digit_set_projection(sponge_234, 1)) == {(0,), (1,)}
-        assert len(sd.digit_set_projection(sponge_234, 3)) == 10
+        assert set(sponge_234.level_sets[1]) == {(0,), (1,)}
+        assert len(sponge_234.level_sets[3]) == 10
 
     def test_projection_of_repeated_base_sponge(self, sponge_344):
-        level2 = set(sd.digit_set_projection(sponge_344, 2))
+        level2 = set(sponge_344.level_sets[2])
         assert level2 == {(0, 0), (0, 3), (2, 0), (2, 3)}
-
-    def test_projection_level_bounds(self, sponge_234):
-        with pytest.raises(sd.SpongeError):
-            sd.digit_set_projection(sponge_234, 0)
-        with pytest.raises(sd.SpongeError):
-            sd.digit_set_projection(sponge_234, 4)
 
 
 class TestFibreCounts:
     def test_root_count(self, sponge_234):
-        assert sd.fibre_count(sponge_234, ()) == 2
+        assert sponge_234.fibre_count(()) == 2
 
     def test_extremes_at_level_two(self, sponge_234):
         counts = [
-            sd.fibre_count(sponge_234, p)
-            for p in sd.digit_set_projection(sponge_234, 2)
+            sponge_234.fibre_count(p)
+            for p in sponge_234.level_sets[2]
         ]
         assert max(counts) == 3
         assert min(counts) == 1
 
     def test_specific_prefix(self, sponge_234):
-        assert sd.fibre_count(sponge_234, (0, 0)) == 2
+        assert sponge_234.fibre_count((0, 0)) == 2
 
     def test_unknown_prefix_rejected(self, sponge_234):
         with pytest.raises(sd.PrefixNotInSponge):
-            sd.fibre_count(sponge_234, (5,))
+            sponge_234.fibre_count((5,))
 
     def test_counts_sum_to_next_level_size(self, sponge_234, carpet_24, sponge_344):
         for s in (sponge_234, carpet_24, sponge_344):
             for l in range(s.d):
-                prefixes = [()] if l == 0 else sd.digit_set_projection(s, l)
-                total = sum(sd.fibre_count(s, p) for p in prefixes)
-                assert total == len(sd.digit_set_projection(s, l + 1))
+                prefixes = [()] if l == 0 else s.level_sets[l]
+                total = sum(s.fibre_count(p) for p in prefixes)
+                assert total == len(s.level_sets[l + 1])
 
     def test_counts_within_base_bounds(self, sponge_234):
         s = sponge_234
         for l in range(s.d):
-            prefixes = [()] if l == 0 else sd.digit_set_projection(s, l)
+            prefixes = [()] if l == 0 else s.level_sets[l]
             for p in prefixes:
-                assert 1 <= sd.fibre_count(s, p) <= s.bases[l]
+                assert 1 <= s.fibre_count(p) <= s.bases[l]
 
 
 class TestUniformFibres:
@@ -158,12 +139,6 @@ class TestSeparation:
 
 
 class TestSerialization:
-    def test_round_trip(self, sponge_234):
-        text = sd.sponge_to_json(sponge_234)
-        back = sd.sponge_from_json(text)
-        assert back.bases == sponge_234.bases
-        assert back.digits == sponge_234.digits
-
     def test_parser_rejects_duplicates_with_position(self):
         with pytest.raises(sd.SpongeFileError, match=r"digits\[1\]"):
             sd.sponge_from_json('{"bases": [2,3], "digits": [[0,0],[0,0],[1,1]]}')

@@ -1,7 +1,11 @@
 """Invariants of the library source, read with ``ast``."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
+
+import spongedim as sd
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spongedim"
 
@@ -51,3 +55,16 @@ def test_schema_version_written_in_one_place():
             and id(node) not in docstrings
         ]
     assert len(found) == 1, found
+
+
+def test_no_public_cap_and_no_derived_sponge_field():
+    """One enumeration cap, DEFAULT_CAP, and no field the bases already decide."""
+    takes_cap = [
+        name
+        for name in sd.__all__
+        if callable(obj := getattr(sd, name))
+        and not isinstance(obj, type)
+        and "cap" in inspect.signature(obj).parameters
+    ]
+    assert takes_cap == []
+    assert [f.name for f in dataclasses.fields(sd.Sponge)] == ["bases", "digits"]

@@ -223,7 +223,7 @@ class TestDoubling:
         for k in range(1, max_depth + 1):
             if sd.count_cubes(s, Fraction(1, s.bases[0] ** k)) > 300:
                 break
-            plan = _DepthPlan(s, k, cap=300)
+            plan = _DepthPlan(s, k)
             pairs = []
             for l, lower, upper, _ in plan.slices:
                 lows = range(lower.start, lower.stop, lower.step)
@@ -252,8 +252,8 @@ class TestDoubling:
 
     def test_cap_checked_before_a_depth_is_built(self, carpet_24):
         m = sd.coordinate_uniform(carpet_24)
-        with pytest.raises(sd.EnumerationTooLarge, match="depth 3 needs 12 cubes"):
-            sd.doubling_reports(carpet_24, [m, m], 6, cap=11)
+        with pytest.raises(sd.EnumerationTooLarge, match="depth 18 needs 10077696 cubes"):
+            sd.doubling_reports(carpet_24, [m, m], 20)
 
 
 class TestWitnesses:
@@ -275,13 +275,13 @@ class TestWitnesses:
             witnesses = sd.extremal_witnesses(s, mode)
             for l in range(2, s.d + 1):
                 counts = {
-                    p: sd.fibre_count(s, p)
+                    p: s.fibre_count(p)
                     for p in ([()] if l == 2 else [])
                 }
                 prefixes = (
-                    sd.digit_set_projection(s, l - 1) if l >= 2 else [()]
+                    s.level_sets[l - 1] if l >= 2 else [()]
                 )
-                counts = {p: sd.fibre_count(s, p) for p in prefixes}
+                counts = {p: s.fibre_count(p) for p in prefixes}
                 target = pick(counts.values())
                 assert counts[witnesses[l][: l - 1]] == target
 
