@@ -67,7 +67,7 @@ class EnumerationTooLarge(SpongeError):
 
 
 class ZeroMeasure(SpongeError):
-    """Internal guard: a cylinder with zero mass entered a quotient."""
+    """A weight is not positive, or a mass ratio lies beyond the float range."""
 
 
 class VsscNotSatisfied(SpongeError):

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
-from operator import eq, itemgetter, mul, or_, truediv
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -751,48 +751,48 @@ class DoublingReport:
 
 
 def _moves(level_set: Sequence[tuple[int, ...]], l: int, n: int):
-    """Index pairs (i, u) of one position's tuples, one step up in coordinate l.
+    """Tuple pairs (p, q) of one position, q one step up from p in coordinate l.
 
     ``steps`` pair a tuple whose l-digit c is below n - 1 with the same tuple
     at c + 1; ``wraps`` pair a tuple at n - 1 with the same tuple at 0.  Only
     pairs whose both tuples are in ``level_set`` are kept.
     """
-    index = {p: i for i, p in enumerate(level_set)}
-    steps: list[tuple[int, int]] = []
-    wraps: list[tuple[int, int]] = []
-    for i, p in enumerate(level_set):
-        u = index.get(p[:l] + ((p[l] + 1) % n,) + p[l + 1 :])
-        if u is not None:
-            (steps if p[l] < n - 1 else wraps).append((i, u))
+    members = set(level_set)
+    steps: list[tuple[DigitTuple, DigitTuple]] = []
+    wraps: list[tuple[DigitTuple, DigitTuple]] = []
+    for p in level_set:
+        q = p[:l] + ((p[l] + 1) % n,) + p[l + 1 :]
+        if q in members:
+            (steps if p[l] < n - 1 else wraps).append((p, q))
     return steps, wraps
 
 
 class _DepthPlan:
-    """Adjacent cube pairs at one depth as slices; nothing here reads a measure.
+    """Adjacent cube pairs at one depth, grouped by their middles.
 
-    Cubes are numbered in word order, the order ``max_ratio_row`` builds
-    their masses in: position t of a word picks tuple number i_t of
-    L_t = level_sets[levels[t]], and the cube's number is sum_t i_t * W_t,
-    with W_t the product of |L_u| over u > t.
+    Nothing here reads a measure, and the plan holds nothing per cube.
+    Position t of a word picks a tuple of L_t = level_sets[levels[t]], and
+    a cube's mass is the product over positions of its tuples' prefix
+    masses.
 
     The neighbour one step up in coordinate l (pinned at positions
     t < k_l) adds one to the l-digit of the last position j < k_l whose
     l-digit is below n_l - 1, wraps the l-digits of positions j+1..k_l-1
     from n_l - 1 to 0, and changes nothing else; every moved tuple must be
     in its L_t.  So each j and each choice of those moves (a "middle")
-    gives lower cubes P * B_j + a + f and upper cubes P * B_j + b + f,
-    where B_j = |L_j| * W_j, P numbers the positions before j and f the
-    W_{k_l - 1} suffixes after k_l - 1.  A middle is kept as whichever is
-    fewer: one strided slice per suffix or one contiguous slice per prefix.
-    ``slices`` holds (l, lower, upper, varied): two ``slice`` objects into
-    the masses and the range of positions whose tuples vary along them.
-    The plan holds nothing per cube.
+    pairs a lower and an upper cube for every choice of the free positions,
+    before j and from k_l on, and all those pairs have the same mass ratio:
+    the product of the prefix-mass ratios at positions j..k_l-1.
+    ``middles`` holds (l, lower, upper, key): the tuples of positions
+    j..k_l-1 before and after the step, and the least key of the middle's
+    lower cubes.
 
-    The witness compares packed grid keys sum_l g_l * stride_l with
+    Keys pack grid coordinates as sum_l g_l * stride_l with
     stride_l = prod_{j>l} (n_j^k_j + 1): the radix leaves room for g_l + 1,
     so key order is lexicographic order of the coordinates and
     key + stride_l is the neighbour up in l.  A key is the sum over
-    positions of what each position's tuple adds to it.
+    positions of what each position's tuple adds to it, so a middle's least
+    key adds the least addend of every free position to its lower tuples'.
     """
 
     def __init__(self, s: Sponge, k: int) -> None:
@@ -803,73 +803,47 @@ class _DepthPlan:
                 f"depth {k} needs {count} cubes, over the cap {DEFAULT_CAP}"
             )
         ks = scale_exponents(s, r).k
-        self.sponge = s
         self.ks = ks
-        # position t pins the first levels[t] coordinates
-        self.levels = [_column_width(ks, t) for t in range(1, ks[0] + 1)]
-        sets = [s.level_sets[level] for level in self.levels]
-        # blocks[t] = W_{t-1}: the number of cubes sharing positions before t
-        blocks = [1]
-        for level_set in reversed(sets):
-            blocks.append(blocks[-1] * len(level_set))
-        self.blocks = blocks[::-1]
         self.radices = [n**kl + 1 for n, kl in zip(s.bases, ks)]
         strides = [1] * s.d
         for l in range(s.d - 2, -1, -1):
             strides[l] = strides[l + 1] * self.radices[l + 1]
         self.strides = strides
-        # deltas[t][i]: the key added by tuple i at position t, less that
-        # of tuple 0; the key of cube 0 is zero_key
-        self.deltas = []
-        self.zero_key = 0
-        for t, (level, level_set) in enumerate(zip(self.levels, sets)):
+        # position t pins the first levels[t] coordinates
+        levels = [_column_width(ks, t) for t in range(1, ks[0] + 1)]
+        sets = [s.level_sets[level] for level in levels]
+        # addends[t][p]: the key added by tuple p at position t
+        addends = []
+        for t, level in enumerate(levels):
             scales = [
                 n ** (kl - 1 - t) * st
                 for n, kl, st in zip(s.bases[:level], ks, strides)
             ]
-            offsets = [sum(map(mul, p, scales)) for p in level_set]
-            self.zero_key += offsets[0]
-            self.deltas.append([c - offsets[0] for c in offsets])
-        self.slices: list[tuple[int, slice, slice, range]] = []
+            addends.append({p: sum(map(mul, p, scales)) for p in sets[t]})
+        self.middles: list[tuple[int, tuple, tuple, int]] = []
         self.pair_count = 0
         for l, (n, kl) in enumerate(zip(s.bases, ks)):
-            # (lower, upper) number parts of the wraps at positions j+1..kl-1
-            tail = [(0, 0)]
+            # (lower, upper, key added by lower) of the wraps at positions j+1..kl-1
+            tail = [((), (), 0)]
             for j in range(kl - 1, -1, -1):
                 steps, wraps = _moves(sets[j], l, n)
-                w = self.blocks[j + 1]
-                middles = [(i * w + a, u * w + b) for i, u in steps for a, b in tail]
-                self._add_slices(l, middles, j, kl)
-                tail = [(i * w + a, u * w + b) for i, u in wraps for a, b in tail]
+                free = [t for t in range(len(sets)) if t < j or t >= kl]
+                least = sum(min(addends[t].values()) for t in free)
+                self.pair_count += (
+                    len(steps) * len(tail) * math.prod(len(sets[t]) for t in free)
+                )
+                self.middles += [
+                    (l, (p, *lo), (q, *up), least + addends[j][p] + key)
+                    for p, q in steps
+                    for lo, up, key in tail
+                ]
+                tail = [
+                    ((p, *lo), (q, *up), addends[j][p] + key)
+                    for p, q in wraps
+                    for lo, up, key in tail
+                ]
                 if not tail:
                     break
-
-    def _add_slices(
-        self, l: int, middles: list[tuple[int, int]], j: int, kl: int
-    ) -> None:
-        total, block, run = self.blocks[0], self.blocks[j], self.blocks[kl]
-        prefixes = total // block
-        self.pair_count += len(middles) * prefixes * run
-        if run <= prefixes:  # one strided slice per suffix
-            varied = range(0, j)
-            for a, b in middles:
-                for f in range(run):
-                    lower = slice(a + f, total, block)
-                    self.slices.append((l, lower, slice(b + f, total, block), varied))
-        else:  # one contiguous slice per prefix
-            varied = range(kl, len(self.deltas))
-            for start in range(0, total, block):
-                for a, b in middles:
-                    lo, up = start + a, start + b
-                    lower, upper = slice(lo, lo + run, 1), slice(up, up + run, 1)
-                    self.slices.append((l, lower, upper, varied))
-
-    def key(self, number: int) -> int:
-        """Packed grid key of the cube with this word-order number."""
-        key = self.zero_key
-        for deltas, w in zip(self.deltas, self.blocks[1:]):
-            key += deltas[number // w % len(deltas)]
-        return key
 
     def coordinates(self, key: int) -> tuple[int, ...]:
         """Grid coordinates of the cube with this key."""
@@ -879,60 +853,34 @@ class _DepthPlan:
         """The row of one measure: its largest adjacent mass ratio and witness.
 
         A pair's ratio is the larger of its two quotients, so the maximum is
-        the largest quotient in either direction over all slice pairs.  The
-        witness is the pair with the smallest (key, coordinate) among those
-        with a quotient equal to it; only slice pairs whose top equals the
-        maximum are read again to find it.  A cube mass that underflows to
-        0.0 cannot enter a quotient and raises ZeroMeasure.
+        the largest such ratio over the middles, exact.  The witness is the
+        pair with the smallest (key, coordinate) among the middles whose
+        ratio equals it.  A maximum above the float range raises ZeroMeasure.
         """
-        if not self.slices:
+        if not self.middles:
             return DepthRatioRow(depth, 0, None, None)
-        tables = {
-            level: [float(m.prefix_mass(p)) for p in self.sponge.level_sets[level]]
-            for level in set(self.levels)
-        }
-        masses = [1.0]
-        for level in self.levels:
-            masses = [a * w for a in masses for w in tables[level]]
-
-        def top(lower: slice, upper: slice) -> float:
-            x, y = masses[lower], masses[upper]
-            return max(max(map(truediv, x, y)), max(map(truediv, y, x)))
-
-        try:
-            tops = [top(lower, upper) for _, lower, upper, _ in self.slices]
-        except ZeroDivisionError:
-            raise ZeroMeasure(
-                f"cube masses underflow the float range at depth {depth}"
-            ) from None
-        best = max(tops)
-        # Along a slice only the positions in ``varied`` change, and they
-        # are tuple 0 in its first cube, so the key of its i-th cube is the
-        # first cube's key plus shifts[varied][i].
-        shifts: dict[range, list[int]] = {}
-
-        def least_tied_key(lower: slice, upper: slice, varied: range) -> int:
-            x, y = masses[lower], masses[upper]
-            ties = map(
-                or_,
-                map(eq, map(truediv, x, y), itertools.repeat(best)),
-                map(eq, map(truediv, y, x), itertools.repeat(best)),
-            )
-            if varied not in shifts:
-                added = [0]
-                for t in varied:
-                    added = [a + c for a in added for c in self.deltas[t]]
-                shifts[varied] = added
-            least = min(itertools.compress(shifts[varied], ties))
-            return self.key(lower.start) + least
-
+        ratios = []
+        for _, lower, upper, _ in self.middles:
+            num = den = 1
+            for p, q in zip(lower, upper):
+                a, b = m.prefix_mass(p), m.prefix_mass(q)
+                num *= a.numerator * b.denominator
+                den *= a.denominator * b.numerator
+            ratios.append(Fraction(max(num, den), min(num, den)))
+        best = max(ratios)
         key, l = min(
-            (least_tied_key(lower, upper, varied), l)
-            for t, (l, lower, upper, varied) in zip(tops, self.slices)
-            if t == best
+            (key, l) for ratio, (l, _, _, key) in zip(ratios, self.middles)
+            if ratio == best
         )
+        try:
+            top = float(best)
+        except OverflowError:
+            raise ZeroMeasure(
+                f"the largest adjacent mass ratio at depth {depth} exceeds the "
+                "float range"
+            ) from None
         witness = (self.coordinates(key), self.coordinates(key + self.strides[l]))
-        return DepthRatioRow(depth, self.pair_count, best, witness)
+        return DepthRatioRow(depth, self.pair_count, top, witness)
 
 
 def _slope(points: list[tuple[float, float]]) -> float:
@@ -949,19 +897,19 @@ def _slope(points: list[tuple[float, float]]) -> float:
 def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingReport:
     """Adjacent-cube mass ratios per depth and their geometric growth.
 
-    At each depth k the scale-(n_1^-k) cubes are enumerated with their
-    masses; two cubes are adjacent when their covering boxes share a
-    (d-1)-dimensional face, i.e. the integer grid coordinates differ by one
-    in exactly one coordinate.
+    At each depth k two scale-(n_1^-k) cubes are adjacent when their
+    covering boxes share a (d-1)-dimensional face, i.e. the integer grid
+    coordinates differ by one in exactly one coordinate.
 
-    The adjacent pairs of a depth are read as strided or contiguous slices
-    of the masses in word order (see ``_DepthPlan``), planned once per
-    depth and shared by every measure of a ``doubling_reports`` sweep.  The
-    witness is the first pair, in lexicographic order of the lower cube's
-    grid coordinates and then the coordinate of the step, whose ratio
-    equals the maximum: a scan in that order that replaces its witness only
-    on a strictly larger ratio keeps the first of tied pairs, so the
-    reported witness does not depend on the order the slices are read in.
+    The adjacent pairs of a depth are grouped by their middles, the moved
+    word positions that fix a pair's mass ratio (see ``_DepthPlan``),
+    planned once per depth and shared by every measure of a
+    ``doubling_reports`` sweep.  Each middle's ratio is computed exactly,
+    and ``max_ratio`` is the exact maximum, correctly rounded to a float.
+    The witness is the first pair, in lexicographic order of the lower
+    cube's grid coordinates and then the coordinate of the step, whose
+    ratio equals the maximum exactly, so exact ties are never broken by
+    rounding.
 
     The growth rate is fitted over buckets of depths sharing the
     finest-coordinate refinement count, using each bucket's maximum ratio;
@@ -978,7 +926,7 @@ def doubling_reports(
     """``doubling_report`` for each measure, drawn and reported one at a time.
 
     The plans of all depths are built, and checked against the cap, before
-    this returns; they hold slices, not cubes, and every measure shares
+    this returns; they hold middles, not cubes, and every measure shares
     them.  A measure is drawn from ``measures`` only when its report is
     asked for, so a sweep over a lazy grid holds one measure at a time.
     """

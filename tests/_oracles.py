@@ -555,18 +555,18 @@ def tangent_distance(s: Sponge, R, mode, level: int) -> float:
 def depth_cube_masses(s: Sponge, m: BernoulliMeasure, k: int) -> dict:
     """Mass of every scale-(n_1^-k) cube keyed by its grid coordinate tuple.
 
-    Recurses over word positions, one call per cube, with the product of the
-    per-position prefix masses accumulated left to right.
+    Recurses over word positions, one call per cube, with the exact product
+    of the per-position prefix masses accumulated left to right.
     """
     ks = scale_exponents(s, Fraction(1, s.bases[0] ** k)).k
     per_position = []
     for t in range(1, ks[0] + 1):
         m_t = sum(1 for v in ks if v >= t)
-        per_position.append([(p, float(m.prefix_mass(p))) for p in s.level_sets[m_t]])
+        per_position.append([(p, m.prefix_mass(p)) for p in s.level_sets[m_t]])
     out = {}
     grid = [0] * s.d
 
-    def rec(t: int, mass: float) -> None:
+    def rec(t: int, mass: Fraction) -> None:
         if t == ks[0]:
             out[tuple(grid)] = mass
             return
@@ -578,7 +578,7 @@ def depth_cube_masses(s: Sponge, m: BernoulliMeasure, k: int) -> dict:
             for l in range(s.d):
                 grid[l] = saved[l]
 
-    rec(0, 1.0)
+    rec(0, Fraction(1))
     return out
 
 
@@ -633,13 +633,15 @@ def adjacent_max_ratio(masses: dict):
 def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int):
     """(rows, growth rate, verdict value, window start) by the steps above.
 
-    Each row is (depth, pair count, max ratio, witness); the growth fit and
-    the three-depth window follow the rules ``doubling_report`` documents.
+    Each row is (depth, pair count, max ratio, witness), the exact maximum
+    rounded to a float; the growth fit and the three-depth window follow the
+    rules ``doubling_report`` documents.
     """
     rows = []
     bucket_best = {}
     for k in range(1, max_depth + 1):
         pairs, best, witness = adjacent_max_ratio(depth_cube_masses(s, m, k))
+        best = None if best is None else float(best)
         rows.append((k, pairs, best, witness))
         if best is not None:
             v = scale_exponents(s, Fraction(1, s.bases[0] ** k)).k[-1]

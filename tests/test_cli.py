@@ -325,20 +325,32 @@ class TestDoubling:
         assert doc["results"][0]["verdict"] == "NonDoublingCertificate"
 
     def test_underflowing_masses_refused(self, capsys, spec_dir, tmp_path):
+        """Ratios are exact, so masses below the float range still report; a
+        ratio beyond it is refused with its depth, not a traceback."""
         s = sd.load_sponge(str(spec_dir / "carpet_24.json"))
-        tiny = Fraction(1, 10**200)
-        m = sd.BernoulliMeasure(
-            s, {(0, 1): tiny, (1, 1): Fraction(1, 2), (1, 3): Fraction(1, 2) - tiny}
-        )
-        side = tmp_path / "tiny.json"
-        side.write_text(weights_to_json(m))
-        rc, out, err = invoke(
-            capsys, "doubling", str(spec_dir / "carpet_24.json"),
-            "--measure", str(side), "--max-depth", "3",
-        )
+
+        def doubling(exponent):
+            tiny = Fraction(1, 10**exponent)
+            m = sd.BernoulliMeasure(
+                s, {(0, 1): tiny, (1, 1): Fraction(1, 2), (1, 3): Fraction(1, 2) - tiny}
+            )
+            side = tmp_path / f"tiny{exponent}.json"
+            side.write_text(weights_to_json(m))
+            return invoke(
+                capsys, "doubling", str(spec_dir / "carpet_24.json"),
+                "--measure", str(side), "--max-depth", "3",
+            )
+
+        rc, out, err = doubling(200)
+        assert rc == 0
+        rows = json.loads(out)["per_depth"]
+        assert [row["max_ratio"] for row in rows] == [1e200, 1e200, 2e200]
+        rc, out, err = doubling(400)
         assert rc == 1
         assert out == ""
-        assert err.startswith("ZeroMeasure: cube masses underflow")
+        assert err.startswith(
+            "ZeroMeasure: the largest adjacent mass ratio at depth 1 exceeds the float range"
+        )
         assert "Traceback" not in err
 
     def test_measure_and_grid_exclusive(self, capsys, spec_dir, tmp_path):

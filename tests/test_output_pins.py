@@ -113,7 +113,7 @@ PINS = {
     },
     "doubling-measure": {
         "exit": 0,
-        "stdout": "21ff395cc029fa9ecc527971efc907b1bcc2a93717349d3f5f540d509e2a2bf5",
+        "stdout": "e361d504fa22eae96df18a216e434a8d758c540bcd33e32c2982c6ab897e6096",
         "files": {},
     },
     "family-lg": {

@@ -1,5 +1,6 @@
 """Scans, doubling detection, tangent construction, and the report emitter."""
 
+import itertools
 import json
 import math
 import random
@@ -150,7 +151,7 @@ class TestDoubling:
             if expected is None:
                 assert row.max_ratio is None
             else:
-                assert row.max_ratio == pytest.approx(float(expected), rel=1e-9)
+                assert row.max_ratio == float(expected)
 
     def test_separated_carpet_has_no_adjacent_pairs(self, carpet_vssc):
         m = sd.coordinate_uniform(carpet_vssc)
@@ -182,7 +183,7 @@ class TestDoubling:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**5), max_depth=st.integers(1, 5))
     def test_sweep_matches_recursive_oracle(self, seed, max_depth):
-        """Rows, witnesses and verdicts equal the recursion's, float for float."""
+        """Rows, witnesses and verdicts equal the exact recursion's."""
         rng = random.Random(seed)
         s = random_strict_sponge(rng, max_base=5, max_digits=6)
         digits = sorted(s.digits)
@@ -209,8 +210,9 @@ class TestDoubling:
     @pytest.mark.parametrize("d", [2, 3])
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**5), max_depth=st.integers(1, 4))
-    def test_plan_slices_are_the_face_sharing_pairs(self, d, seed, max_depth):
-        """Slice entries, decoded to grid tuples, are each face-sharing pair once.
+    def test_plan_middles_are_the_face_sharing_pairs(self, d, seed, max_depth):
+        """Middles, expanded over every prefix and suffix, are each face-sharing
+        pair once, and a middle's key is its least lower cube.
 
         Bases are strictly increasing, so depth 1 leaves every coordinate
         but the first unpinned (k_l = 0), and deeper depths often leave the
@@ -224,14 +226,25 @@ class TestDoubling:
             if sd.count_cubes(s, Fraction(1, s.bases[0] ** k)) > 300:
                 break
             plan = _DepthPlan(s, k)
+            ks = plan.ks
+            sets = [s.level_sets[sum(v >= t for v in ks)] for t in range(1, ks[0] + 1)]
+
+            def grid(word):
+                return tuple(
+                    sum(word[t][l] * n ** (kl - 1 - t) for t in range(kl))
+                    for l, (n, kl) in enumerate(zip(s.bases, ks))
+                )
+
             pairs = []
-            for l, lower, upper, _ in plan.slices:
-                lows = range(lower.start, lower.stop, lower.step)
-                ups = range(upper.start, upper.stop, upper.step)
-                assert len(lows) == len(ups)
-                for a, b in zip(map(plan.key, lows), map(plan.key, ups)):
-                    assert b == a + plan.strides[l]
-                    pairs.append((plan.coordinates(a), plan.coordinates(b)))
+            for l, lower, upper, key in plan.middles:
+                j = ks[l] - len(lower)
+                expanded = [
+                    (grid(prefix + lower + suffix), grid(prefix + upper + suffix))
+                    for prefix in itertools.product(*sets[:j])
+                    for suffix in itertools.product(*sets[ks[l]:])
+                ]
+                assert plan.coordinates(key) == min(expanded)[0]
+                pairs += expanded
             assert len(pairs) == plan.pair_count
             assert sorted(pairs) == sorted(oracle.adjacent_pairs(s, k))
 
