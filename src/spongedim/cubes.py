@@ -38,6 +38,21 @@ Interval = tuple[Fraction, Fraction]
 Box = tuple[Interval, ...]
 
 
+def admit(what: str, factors: Iterable[int]) -> None:
+    """Refuse an enumeration of prod(factors) items above DEFAULT_CAP.
+
+    Every enumeration whose size is known before it starts calls this first.
+    The product stops at the first factor that takes it past the cap, so a
+    run of factors >= 2, however long, costs at most DEFAULT_CAP.bit_length()
+    multiplications and no count beyond the cap is formed.
+    """
+    total = 1
+    for factor in factors:
+        total *= factor
+        if total > DEFAULT_CAP:
+            raise EnumerationTooLarge(f"{what}: over the cap of {DEFAULT_CAP}")
+
+
 def as_scale(r: ScaleLike) -> Fraction:
     """Coerce a scale to an exact Fraction.
 
@@ -194,7 +209,7 @@ def subcubes(s: Sponge, q: ApproximateCube, r: ScaleLike) -> list[ApproximateCub
 
     Positions are extended outermost first and the candidates at each
     position run lexicographically, so the output order is deterministic.
-    Raises EnumerationTooLarge when the exact count exceeds DEFAULT_CAP.
+    The count is admitted (``admit``) before any sub-cube is built.
     """
     ks_r = scale_exponents(s, r)
     if ks_r.scale >= q.scale:
@@ -211,12 +226,7 @@ def subcubes(s: Sponge, q: ApproximateCube, r: ScaleLike) -> list[ApproximateCub
         options = [p for p in s.level_sets[m_new] if p[:m_old] == fixed]
         candidates.append(options)
 
-    total = 1
-    for options in candidates:
-        total *= len(options)
-    if total > DEFAULT_CAP:
-        raise EnumerationTooLarge(f"{total} sub-cubes exceed the cap of {DEFAULT_CAP}")
-
+    admit(f"sub-cubes at scale {ks_r.scale}", map(len, candidates))
     out: list[ApproximateCube] = []
     for combo in itertools.product(*candidates):
         constraints = tuple(
@@ -232,15 +242,6 @@ def box_dim_slope(s: Sponge, depth: int) -> float:
         raise ScaleOutOfRange(f"depth must be >= 1, got {depth}")
     count = count_cubes(s, Fraction(1, s.bases[0] ** depth))
     return math.log(count) / (depth * math.log(s.bases[0]))
-
-
-def exceeds_cap(base: int, exponent: int, cap: int, start: int = 1) -> bool:
-    """True when start * base**exponent > cap, for base >= 1.
-
-    A base of 2 or more passes any cap within cap.bit_length() factors, so
-    the exponent is clipped there and no power beyond the cap is formed.
-    """
-    return start * base ** min(exponent, cap.bit_length()) > cap
 
 
 def lattice_column(base: int, positions: Iterable[Sequence[int]]) -> list[int]:
@@ -277,10 +278,7 @@ def prefractal(s: Sponge, level: int) -> BoxSet:
     """
     if level < 0:
         raise ScaleOutOfRange(f"pre-fractal level must be >= 0, got {level}")
-    if exceeds_cap(len(s.digits), level, DEFAULT_CAP):
-        raise EnumerationTooLarge(
-            f"{len(s.digits)}^{level} boxes exceed the cap of {DEFAULT_CAP}"
-        )
+    admit(f"{len(s.digits)}^{level} boxes", itertools.repeat(len(s.digits), level))
     columns = tuple(
         tuple(lattice_column(n, [[t[l] for t in s.digits]] * level))
         for l, n in enumerate(s.bases)

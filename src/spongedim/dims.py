@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubes import DEFAULT_CAP
-from .errors import EnumerationTooLarge, InternalError, NonStrictBases, ScaleOutOfRange
+from .cubes import admit
+from .errors import InternalError, NonStrictBases, ScaleOutOfRange
 from .model import Prefix, Sponge, has_uniform_fibres
 from .tolerances import _RECURSION_TOL
 
@@ -198,15 +198,14 @@ def lg_family_dims(lam: Fraction | float | str) -> tuple[float, float, float, fl
 def lg_family_csv(lo: Fraction, hi: Fraction, step: Fraction) -> str:
     """Sweep the family over an exact grid; one CSV row per parameter.
 
-    The rows are counted, and refused above DEFAULT_CAP, before any is built.
+    The rows are counted and admitted (``cubes.admit``) before any is built.
     """
     if step <= 0:
         raise ScaleOutOfRange(f"step must be positive, got {step}")
     if lo > hi:
         raise ScaleOutOfRange(f"empty parameter range [{lo}, {hi}]")
     rows = (hi - lo) // step + 1
-    if rows > DEFAULT_CAP:
-        raise EnumerationTooLarge(f"{rows} rows exceed the cap of {DEFAULT_CAP}")
+    admit(f"{rows} rows", [rows])
     lines = ["lambda,lower,hausdorff,box,assouad"]
     for k in range(rows):
         lam = lo + k * step

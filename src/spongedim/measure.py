@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -28,8 +28,8 @@ from .errors import (
     SpongeFileError,
     ZeroMeasure,
 )
-from .cubes import DEFAULT_CAP, ScaleLike, as_scale, scale_exponents, _checked_word
-from .model import DigitTuple, Prefix, Sponge
+from .cubes import DEFAULT_CAP, ScaleLike, admit, as_scale, scale_exponents, _checked_word
+from .model import DigitTuple, Prefix, Sponge, _json_document, _read_file
 
 # Above this many factors cube masses are reported in log space only.
 EXACT_FACTOR_BUDGET = 512
@@ -306,12 +306,7 @@ def measure_from_json(s: Sponge, text: str) -> BernoulliMeasure:
     'i1,i2,...,id' to rational strings 'p/q' (or decimal strings, which are
     converted exactly); the weights must sum to exactly one.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpongeFileError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
+    doc = _json_document(text)
     if not isinstance(doc, dict):
         raise SpongeFileError("weight file must be a JSON object")
     if "weights" in doc and isinstance(doc["weights"], dict):
@@ -330,12 +325,7 @@ def measure_from_json(s: Sponge, text: str) -> BernoulliMeasure:
 
 
 def load_measure(s: Sponge, path: str) -> BernoulliMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return measure_from_json(s, text)
-    except SpongeFileError as e:
-        raise SpongeFileError(f"{path}: {e}") from None
+    return _read_file(path, partial(measure_from_json, s))
 
 
 def positive_weight_grid(s: Sponge, step: ScaleLike):
@@ -344,7 +334,7 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
     ``step`` must be 1/q for an integer q >= |D|.  Yields one measure per
     assignment of multiples a/q (a >= 1) to the sorted digits summing to 1,
     in lexicographic order, so downstream sweeps are deterministic.  The
-    C(q-1, |D|-1) vectors are counted, and refused above DEFAULT_CAP, when
+    C(q-1, |D|-1) vectors are counted and admitted (``cubes.admit``) when
     this is called; the measures are built only as they are drawn.
     """
     h = as_scale(step)
@@ -358,10 +348,7 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
             f"grid step 1/{q} leaves no positive vector for {m} digits"
         )
     count = math.comb(q - 1, m - 1)
-    if count > DEFAULT_CAP:
-        raise EnumerationTooLarge(
-            f"grid step 1/{q} gives {count} weight vectors, over the cap {DEFAULT_CAP}"
-        )
+    admit(f"grid step 1/{q} gives {count} weight vectors", [count])
     return _grid_measures(s, digits, q)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     DecreasingBases,
@@ -40,6 +40,7 @@ from .errors import (
 
 DigitTuple = tuple[int, ...]
 Prefix = tuple[int, ...]
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,28 @@ def satisfies_vssc(s: Sponge) -> bool:
     )
 
 
+def _json_document(text: str):
+    """json.loads(text); a syntax error, an integer past Python's int-string
+    digit limit or nesting too deep to decode is a SpongeFileError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SpongeFileError(
+            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
+        ) from None
+    except (ValueError, RecursionError) as e:
+        raise SpongeFileError(f"invalid JSON: {e}") from None
+
+
+def _read_file(path: str, parse: Callable[[str], _T]) -> _T:
+    """parse(the file's text); the path leads any SpongeFileError, or non-UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (SpongeFileError, UnicodeDecodeError) as e:
+        raise SpongeFileError(f"{path}: {e}") from None
+
+
 def sponge_from_json(text: str) -> Sponge:
     """Parse a JSON sponge description {"bases": [...], "digits": [[...], ...]}.
 
@@ -188,12 +211,7 @@ def sponge_from_json(text: str) -> Sponge:
     presumed human-written), while the programmatic constructor treats digit
     input as a set.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SpongeFileError(
-            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}"
-        ) from None
+    doc = _json_document(text)
     if not isinstance(doc, dict):
         raise SpongeFileError("top level must be an object with 'bases' and 'digits'")
     for key in ("bases", "digits"):
@@ -219,9 +237,4 @@ def sponge_from_json(text: str) -> Sponge:
 
 
 def load_sponge(path: str) -> Sponge:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return sponge_from_json(text)
-    except SpongeFileError as e:
-        raise SpongeFileError(f"{path}: {e}") from None
+    return _read_file(path, sponge_from_json)

@@ -24,7 +24,6 @@ from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
-    EnumerationTooLarge,
     NonStrictBases,
     ScaleOutOfRange,
     UnsupportedBoundaryTangent,
@@ -32,12 +31,12 @@ from .errors import (
     ZeroMeasure,
 )
 from .cubes import (
-    DEFAULT_CAP,
     ApproximateCube,
     Box,
     BoxSet,
     ScaleLike,
     _column_width,
+    admit,
     approximate_cube,
     count_cubes,
     geometric_box,
@@ -178,9 +177,10 @@ def _tangent_cover(
     """The tangent cube's map and the admissible digits at each word position.
 
     The length-`level` words inside the cube of the tangent word are the
-    products of these per-position choices.  Their count is checked against
-    DEFAULT_CAP while the choices are built, so a huge level is refused
-    after a few positions rather than after all of them.
+    products of these per-position choices.  Positions from k_1 on pin no
+    coordinate, so only the first k_1 choices are built before the count is
+    admitted (``cubes.admit``); a huge level is refused without building
+    the rest.
     """
     tmap = tangent_map(s, R, mode)
     k1 = tmap.cube.exponents.k[0]
@@ -188,17 +188,16 @@ def _tangent_cover(
         raise ScaleOutOfRange(
             f"cover level {level} is coarser than the cube depth {k1}"
         )
-    digits = sorted(s.digit_set)
-    choices: list[tuple[DigitTuple, ...]] = []
-    total = 1
-    for t in range(level):
+    digits = tuple(sorted(s.digit_set))
+    head: list[tuple[DigitTuple, ...]] = []
+    for t in range(k1):
         pinned = [(l, c[t]) for l, c in enumerate(tmap.cube.constraints) if len(c) > t]
-        choice = tuple(j for j in digits if all(j[l] == c for l, c in pinned))
-        total *= len(choice)
-        if total > DEFAULT_CAP:
-            raise EnumerationTooLarge(f"rescaled cover needs more than {DEFAULT_CAP} boxes")
-        choices.append(choice)
-    return tmap, choices
+        head.append(tuple(j for j in digits if all(j[l] == c for l, c in pinned)))
+    admit(
+        f"rescaled cover at level {level}",
+        itertools.chain(map(len, head), itertools.repeat(len(digits), level - k1)),
+    )
+    return tmap, head + [digits] * (level - k1)
 
 
 def tangent_image(s: Sponge, R: ScaleLike, mode: Mode, level: int) -> BoxSet:
@@ -436,6 +435,7 @@ def check_tangent_convergence(
         factors.append(([a / res for a in run_lo], [b / res for b in run_hi]))
         points = sorted(set(cells).union(v + 1 for v in cells))
         corner_values.append([p / res for p in points])
+    admit(f"product-cell corners at refinement {refinement}", map(len, corner_values))
 
     def away_score(corner: list[float], t: int) -> float:
         total = 0.0
@@ -539,14 +539,6 @@ def _word_label(word: Sequence[Sequence[int]]) -> str:
     return ";".join(",".join(str(e) for e in t) for t in word)
 
 
-def _check_scan_size(samples: int, depth: int) -> None:
-    """Refuse a scan whose words could hold more than DEFAULT_CAP entries."""
-    if samples * depth > DEFAULT_CAP:
-        raise EnumerationTooLarge(
-            f"{samples} samples at depth {depth} exceed the cap of {DEFAULT_CAP}"
-        )
-
-
 _Sample = tuple[int, int, tuple[DigitTuple, ...], str, Fraction, Fraction, float, float]
 
 
@@ -622,8 +614,8 @@ def scan_cube_ratios(
     Draws a random word and a scale pair (R, r) = (n_1^-a, n_1^-b) with
     a < b <= depth, and checks
     n_d^-d (R/r)^lower <= mass(R)/mass(r) <= n_d^d (R/r)^assouad
-    in log space, from the measure's log-factor table.  Refused before any
-    word is drawn when samples * depth exceeds DEFAULT_CAP.
+    in log space, from the measure's log-factor table.  The samples * depth
+    word entries are admitted (``cubes.admit``) before any word is drawn.
     """
     if not s.strict_bases:
         raise NonStrictBases(
@@ -631,7 +623,7 @@ def scan_cube_ratios(
         )
     if samples < 1 or depth < 1:
         raise ScaleOutOfRange("samples and depth must be positive")
-    _check_scan_size(samples, depth)
+    admit(f"{samples} samples at depth {depth}", (samples, depth))
     n1 = s.bases[0]
 
     def draw(rng: random.Random, digits: list[DigitTuple]) -> _Sample:
@@ -681,8 +673,8 @@ def scan_ball_ratios_vssc(
     pairs (n_1^-a / 2, n_1^-b / 2) with a < b < depth.  Ball masses are
     known only as brackets, so each side is tested conservatively: a
     violation is recorded only when even the favorable ends of the brackets
-    break the bound.  Refused before any word is drawn when
-    samples * depth exceeds DEFAULT_CAP.
+    break the bound.  The samples * depth word entries are admitted
+    (``cubes.admit``) before any word is drawn.
     """
     if not satisfies_vssc(s):
         raise VsscNotSatisfied(
@@ -691,7 +683,7 @@ def scan_ball_ratios_vssc(
         )
     if samples < 1 or depth < 2:
         raise ScaleOutOfRange("need samples >= 1 and depth >= 2")
-    _check_scan_size(samples, depth)
+    admit(f"{samples} samples at depth {depth}", (samples, depth))
     m = coordinate_uniform(s)
     n1 = s.bases[0]
 
@@ -798,10 +790,7 @@ class _DepthPlan:
     def __init__(self, s: Sponge, k: int) -> None:
         r = Fraction(1, s.bases[0] ** k)
         count = count_cubes(s, r)
-        if count > DEFAULT_CAP:
-            raise EnumerationTooLarge(
-                f"depth {k} needs {count} cubes, over the cap {DEFAULT_CAP}"
-            )
+        admit(f"depth {k} needs {count} cubes", [count])
         ks = scale_exponents(s, r).k
         self.ks = ks
         self.radices = [n**kl + 1 for n, kl in zip(s.bases, ks)]

@@ -17,7 +17,7 @@ from spongedim import (
     Sponge,
     scale_exponents,
 )
-from spongedim.cubes import DEFAULT_CAP, exceeds_cap, lattice_column
+from spongedim.cubes import DEFAULT_CAP, lattice_column
 
 Signature = tuple[tuple[int, ...], ...]
 
@@ -434,7 +434,7 @@ def hat_set_prefractal(s: Sponge, mode, level: int, cap: int = DEFAULT_CAP):
         if len(alpha) == s.bases[l]:
             lists.append([(Fraction(0), Fraction(1))])
         else:
-            if exceeds_cap(len(alpha), level, cap, start=total):
+            if total * len(alpha) ** min(level, cap.bit_length()) > cap:
                 raise EnumerationTooLarge(
                     f"tangent-set cover needs more than {cap} boxes"
                 )

@@ -516,6 +516,11 @@ class TestRender:
         assert elapsed < 0.5
 
 
+# Its level-11 tangent cover (786,432 boxes) is under the cap, but the
+# product cover has 10,097,892 cell corners, one cover walk each.
+WIDE = {"bases": [2, 3], "digits": [[0, 0], [0, 1], [0, 2], [1, 0]]}
+
+
 class TestSizeCaps:
     """Oversized levels, grids and scans are refused before any sized work starts."""
 
@@ -532,12 +537,16 @@ class TestSizeCaps:
             ("ball-scan", "carpet_vssc_34.json", "--samples", "1", "--seed", "1",
              "--depth", "100000000"),
             ("family-lg", "--min", "1/10", "--max", "1/2", "--step", "1/1000000000"),
+            # refused by its corner count; when only the cover was counted,
+            # this ran for about 20 minutes (extrapolated) instead
+            ("tangent", "wide.json", "--scale", "1/4", "--mode", "max", "--level", "11"),
         ],
     )
     def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv):
+        (tmp_path / "wide.json").write_text(json.dumps(WIDE))
         argv = [
-            str(spec_dir / arg) if arg.endswith(".json")
-            else str(tmp_path / arg) if arg.startswith("cover.")
+            str(tmp_path / arg) if arg == "wide.json" or arg.startswith("cover.")
+            else str(spec_dir / arg) if arg.endswith(".json")
             else arg
             for arg in argv
         ]
@@ -548,6 +557,33 @@ class TestSizeCaps:
         assert err.startswith("EnumerationTooLarge: ")
         assert "Traceback" not in err
         assert elapsed < 0.5
+
+
+class TestUndecodableFiles:
+    """Text that json cannot decode is a SpongeFileError naming the file."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe not UTF-8",
+            b'{"bases": [' + b"7" * 5000 + b'], "digits": [[0]]}',
+            b"[" * 100_000,
+        ],
+        ids=["not-utf8", "5000-digit-int", "deep-nesting"],
+    )
+    @pytest.mark.parametrize("kind", ["spec", "weights"])
+    def test_refused_without_traceback(self, capsys, spec_dir, tmp_path, content, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if kind == "spec":
+            argv = ["dims", str(bad)]
+        else:
+            argv = ["doubling", str(spec_dir / "carpet_24.json"),
+                    "--measure", str(bad), "--max-depth", "1"]
+        rc, _, err = invoke(capsys, *argv)
+        assert rc == 1
+        assert err.startswith(f"SpongeFileError: {bad}")
+        assert "Traceback" not in err
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """Scale exponents, symbolic cubes, counting, and pre-fractal geometry."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import spongedim as sd
 import _oracles as oracle
+from spongedim.cubes import DEFAULT_CAP, admit
 from conftest import random_strict_sponge
 
 
@@ -134,6 +136,20 @@ class TestGeometricBox:
         for (lo, hi), n in zip(box, s.bases):
             side = hi - lo
             assert r <= side < n * r
+
+
+class TestAdmit:
+    def test_endless_factors_refused_at_once(self):
+        with pytest.raises(sd.EnumerationTooLarge):
+            admit("x", itertools.repeat(2, 10**18))
+
+    def test_cap_itself_passes(self):
+        admit("x", [DEFAULT_CAP])
+
+    def test_one_past_the_cap_refused_with_the_one_message(self):
+        with pytest.raises(sd.EnumerationTooLarge) as info:
+            admit("x", [DEFAULT_CAP + 1])
+        assert str(info.value) == f"x: over the cap of {DEFAULT_CAP}"
 
 
 class TestSubcubes:

@@ -57,6 +57,23 @@ def test_schema_version_written_in_one_place():
     assert len(found) == 1, found
 
 
+def test_enumeration_refused_in_two_places():
+    """EnumerationTooLarge is built by cubes.admit and the ball walk's node guard only."""
+    found = []
+    for name, tree in _modules().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            found += [
+                f"{name}:{func.name}"
+                for node in ast.walk(func)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "EnumerationTooLarge"
+            ]
+    assert sorted(found) == ["cubes.py:admit", "measure.py:ball_measure_bounds"]
+
+
 def test_no_public_cap_and_no_derived_sponge_field():
     """One enumeration cap, DEFAULT_CAP, and no field the bases already decide."""
     takes_cap = [
