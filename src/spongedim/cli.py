@@ -15,7 +15,9 @@ import sys
 from fractions import Fraction
 
 from .errors import SpongeError
-from .cubes import _check_planar, boxes_to_csv, boxes_to_svg, count_cubes, prefractal
+from .cubes import (
+    _check_planar, as_scale, boxes_to_csv, boxes_to_svg, count_cubes, prefractal,
+)
 from .dims import dim_report, lg_family_csv
 from .measure import (
     coordinate_uniform,
@@ -50,9 +52,9 @@ def _parse_scale(text: str) -> Fraction:
     boundaries r = n_l^-k.
     """
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational or decimal: {text!r}")
+        value = as_scale(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
     if "/" not in text and value.denominator > _MAX_DENOMINATOR:
         snapped = value.limit_denominator(_MAX_DENOMINATOR)
         print(

@@ -7,9 +7,9 @@ geometrically it is a box whose side in coordinate l lies in [r, n_l * r).
 Everything here is computed in exact rational arithmetic: scales are
 fractions and depth thresholds are decided by integer comparisons, never by
 floating point logarithms, so boundary scales such as r = n_l^-k land on the
-correct side.  A level-m cover keeps every corner as an integer over n_l^m:
-one numerator column and one denominator per coordinate, which the CSV and
-SVG exporters format without building a Fraction per box.
+correct side.  Every box is a lattice cell, [v, v + 1] / n_l^m in coordinate
+l for an integer v: a cover keeps one numerator column and one denominator
+per coordinate, which the CSV and SVG exporters format without Fractions.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from .model import DigitTuple, Prefix, Sponge
 ScaleLike = Union[Fraction, int, float, str]
 
 DEFAULT_CAP = 10**7
-
-Interval = tuple[Fraction, Fraction]
-Box = tuple[Interval, ...]
+_MAX_DECIMAL_EXPONENT = 1000
 
 
 def admit(what: str, factors: Iterable[int]) -> None:
@@ -54,17 +52,29 @@ def admit(what: str, factors: Iterable[int]) -> None:
 
 
 def as_scale(r: ScaleLike) -> Fraction:
-    """Coerce a scale to an exact Fraction.
+    """Coerce a scale, or any rational given as text, to an exact Fraction.
 
-    Strings accept 'p/q' or decimal notation and convert exactly; floats are
+    Strings accept 'p/q' or decimal notation and convert exactly; a decimal
+    exponent outside +-1000 is refused (ValueError) before Fraction forms its
+    power of ten, which for a long exponent alone takes minutes.  Floats are
     taken at their exact binary value, so prefer fractions or strings when a
     boundary scale like 1/27 is intended.
     """
     if isinstance(r, Fraction):
         return r
-    if isinstance(r, (int, str, float)):
+    if isinstance(r, (int, float)):
         return Fraction(r)
-    raise TypeError(f"cannot interpret {r!r} as a scale")
+    if not isinstance(r, str):
+        raise TypeError(f"cannot interpret {r!r} as a scale")
+    _, e, exponent = r.lower().partition("e")
+    try:
+        if e and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT:
+            raise ValueError
+        return Fraction(r)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(
+            f"{r!r} is not p/q or a decimal with exponent in +-{_MAX_DECIMAL_EXPONENT}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -91,12 +101,11 @@ class ApproximateCube:
 
 @dataclass(frozen=True)
 class BoxSet:
-    """An ordered collection of closed axis-aligned boxes in [0,1]^d.
+    """An ordered collection of lattice cells in [0,1]^d.
 
-    Box i is the lattice cell whose coordinate l is
-    [columns[l][i] / dens[l], (columns[l][i] + 1) / dens[l]]; every corner is
-    an integer over n_l^m.  The exporters format straight from the columns,
-    and ``boxes`` builds the exact Fraction boxes on demand.
+    Box i is the cell whose coordinate l is
+    [columns[l][i] / dens[l], (columns[l][i] + 1) / dens[l]], so every corner
+    is an integer over n_l^m.  The exporters format straight from the columns.
     """
 
     columns: tuple[tuple[int, ...], ...]
@@ -104,13 +113,6 @@ class BoxSet:
 
     def __len__(self) -> int:
         return len(self.columns[0])
-
-    def __iter__(self):
-        return iter(self.boxes)
-
-    @property
-    def boxes(self) -> tuple[Box, ...]:
-        return lattice_boxes(self.columns, self.dens)
 
     @property
     def d(self) -> int:
@@ -165,22 +167,6 @@ def approximate_cube(s: Sponge, w: Sequence[Sequence[int]], r: ScaleLike) -> App
         tuple(word[t][l] for t in range(ks.k[l])) for l in range(s.d)
     )
     return ApproximateCube(ks.scale, ks, constraints)
-
-
-def geometric_box(s: Sponge, q: ApproximateCube) -> Box:
-    """Exact corner coordinates of the box containing the cube.
-
-    Side l has length n_l^-k_l(r), so it lies in [r, n_l * r).
-    """
-    out: list[Interval] = []
-    for n, k, cons in zip(s.bases, q.exponents.k, q.constraints):
-        num = 0
-        for digit in cons:
-            num = num * n + digit
-        den = n**k
-        lo = Fraction(num, den)
-        out.append((lo, lo + Fraction(1, den)))
-    return tuple(out)
 
 
 def _column_width(ks: Sequence[int], t: int) -> int:
@@ -255,19 +241,6 @@ def lattice_column(base: int, positions: Iterable[Sequence[int]]) -> list[int]:
     for digits in positions:
         values = [v * base + j for v in values for j in digits]
     return values
-
-
-def lattice_boxes(columns: Sequence[Sequence[int]], dens: Sequence[int]) -> tuple[Box, ...]:
-    """Boxes whose coordinate l is [v/dens[l], (v+1)/dens[l]] for v in columns[l].
-
-    Each distinct numerator of a coordinate is turned into one interval of
-    Fractions that every box holding it shares.
-    """
-    per_coord = []
-    for column, den in zip(columns, dens):
-        table = {v: (Fraction(v, den), Fraction(v + 1, den)) for v in set(column)}
-        per_coord.append(map(table.__getitem__, column))
-    return tuple(zip(*per_coord))
 
 
 def prefractal(s: Sponge, level: int) -> BoxSet:

@@ -318,9 +318,9 @@ def measure_from_json(s: Sponge, text: str) -> BernoulliMeasure:
         except ValueError:
             raise SpongeFileError(f"bad digit key {key!r}") from None
         try:
-            weights[t] = Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            raise SpongeFileError(f"bad weight {value!r} for key {key!r}") from None
+            weights[t] = as_scale(str(value))
+        except ValueError as e:
+            raise SpongeFileError(f"bad weight for key {key!r}: {e}") from None
     return BernoulliMeasure(s, weights)
 
 
@@ -334,8 +334,8 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
     ``step`` must be 1/q for an integer q >= |D|.  Yields one measure per
     assignment of multiples a/q (a >= 1) to the sorted digits summing to 1,
     in lexicographic order, so downstream sweeps are deterministic.  The
-    C(q-1, |D|-1) vectors are counted and admitted (``cubes.admit``) when
-    this is called; the measures are built only as they are drawn.
+    C(q-1, |D|-1) vectors are counted and admitted (``cubes.admit``) before
+    the first measure is drawn, and each measure is built as it is drawn.
     """
     h = as_scale(step)
     if h.numerator != 1 or h.denominator < 2:
@@ -349,13 +349,9 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
         )
     count = math.comb(q - 1, m - 1)
     admit(f"grid step 1/{q} gives {count} weight vectors", [count])
-    return _grid_measures(s, digits, q)
-
-
-def _grid_measures(s: Sponge, digits: list[DigitTuple], q: int):
     # a vector is a choice of m - 1 cut points in 1..q-1; cuts in
     # lexicographic order give the parts in lexicographic order
-    for cuts in itertools.combinations(range(1, q), len(digits) - 1):
+    for cuts in itertools.combinations(range(1, q), m - 1):
         bounds = (0, *cuts, q)
         yield BernoulliMeasure(
             s, {t: Fraction(b - a, q) for t, a, b in zip(digits, bounds, bounds[1:])}

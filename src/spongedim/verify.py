@@ -32,14 +32,12 @@ from .errors import (
 )
 from .cubes import (
     ApproximateCube,
-    Box,
     BoxSet,
     ScaleLike,
     _column_width,
     admit,
     approximate_cube,
     count_cubes,
-    geometric_box,
     lattice_column,
     scale_exponents,
 )
@@ -107,30 +105,27 @@ def tangent_word(s: Sponge, R: ScaleLike, mode: Mode) -> tuple[DigitTuple, ...]:
 
 @dataclass(frozen=True)
 class TangentMap:
-    """Per-coordinate rescaling that sends a cube's bounding box to [0,1]^d.
+    """The rescaling x_l -> scales[l] x_l - offsets[l] of a cube's box to [0,1]^d.
 
-    Coordinate l is translated by the box corner and scaled by n_l^{k_l},
-    so the Lipschitz band [a, b] is the range of those scale factors and
-    b/a is at most the largest base.
+    The box is a lattice cell: coordinate l is [o, o + 1] / n_l^{k_l}, where
+    o = offsets[l] is the pinned coordinate-l digits read as a base-n_l
+    integer.  The Lipschitz band [a, b] is the range of the scales n_l^{k_l},
+    so b/a is at most the largest base.
     """
 
     cube: ApproximateCube
     scales: tuple[int, ...]
-    offsets: tuple[Fraction, ...]
+    offsets: tuple[int, ...]
     a: int
     b: int
 
     @classmethod
     def from_cube(cls, s: Sponge, q: ApproximateCube) -> "TangentMap":
         scales = tuple(n**k for n, k in zip(s.bases, q.exponents.k))
-        offsets = tuple(lo for lo, _ in geometric_box(s, q))
-        return cls(q, scales, offsets, min(scales), max(scales))
-
-    def apply_box(self, box: Box) -> Box:
-        return tuple(
-            (k * (lo - o), k * (hi - o))
-            for k, o, (lo, hi) in zip(self.scales, self.offsets, box)
+        offsets = tuple(  # each coordinate's one digit string, as its numerator
+            lattice_column(n, zip(c))[0] for n, c in zip(s.bases, q.constraints)
         )
+        return cls(q, scales, offsets, min(scales), max(scales))
 
 
 def tangent_map(s: Sponge, R: ScaleLike, mode: Mode) -> TangentMap:
@@ -205,18 +200,17 @@ def tangent_image(s: Sponge, R: ScaleLike, mode: Mode, level: int) -> BoxSet:
 
     Enumerates the words of length `level` lying in the cube of the tangent
     word, takes their covering boxes, and pushes them through the cube's
-    rescaling map.  All corners stay exact rationals: coordinate l of an
-    image box is a cell of the grid of side n_l^-(level - k_l).
+    rescaling map.  Each image box is a lattice cell: coordinate l is a cell
+    of the grid of side n_l^-(level - k_l).
     """
     tmap, choices = _tangent_cover(s, R, mode, level)
     columns: list[tuple[int, ...]] = []
     dens: list[int] = []
-    for l, n in enumerate(s.bases):
-        off = tmap.offsets[l]
-        shift = off.numerator * (n**level // off.denominator)
+    for l, (n, k) in enumerate(zip(s.bases, tmap.cube.exponents.k)):
+        shift = tmap.offsets[l] * n ** (level - k)
         column = lattice_column(n, [[j[l] for j in c] for c in choices])
         columns.append(tuple(v - shift for v in column))
-        dens.append(n ** (level - tmap.cube.exponents.k[l]))
+        dens.append(n ** (level - k))
     return BoxSet(tuple(columns), tuple(dens))
 
 
@@ -318,7 +312,7 @@ class _CoverTree:
         reach.append([s.bases[l] ** (ks[l] - level) for l in range(s.d)])
         return cls(
             steps,
-            [float(v) for v in tmap.offsets],
+            [o / k for o, k in zip(tmap.offsets, tmap.scales)],
             [float(v) for v in tmap.scales],
             reach,
             pad,
@@ -504,9 +498,9 @@ class ScanReport:
     Slacks are log-space margins (bound minus observed, oriented so that
     non-negative means satisfied); the worst slack over all samples is
     reported per side, and every sample with a negative margin appears in
-    ``violations``.  ``rows`` holds one (label, r, R, ratio, lower bound,
-    upper bound) per sample for ``scan_samples_csv``, not for the JSON
-    document.
+    ``violations``.  ``rows`` holds one (word, label suffix, r, R, ratio,
+    lower bound, upper bound) per sample for ``scan_samples_csv``, not for
+    the JSON document.
     """
 
     kind: str
@@ -518,9 +512,7 @@ class ScanReport:
     constants_used: tuple[float, float]
     exponents: tuple[float, float]
     coordinate_uniform_measure: bool
-    rows: tuple[tuple[str, Fraction, Fraction, float, float, float], ...] = field(
-        metadata={"document": False}
-    )
+    rows: tuple[tuple, ...] = field(metadata={"document": False})
 
 
 def _exp(x: float) -> float:
@@ -555,7 +547,7 @@ def _sandwich_scan(
     with c1 = n_d^d spread^assouad and c0 = n_d^-d spread^-lower.  Each
     side is tested on the end of [low, high] least likely to break it, so a
     violation is recorded only when even that end does.  A row's ratio is
-    exp(high); its label is the word's plus the suffix.
+    exp(high); word labels are built only for violations and the CSV.
     """
     dim_hi = assouad_dim(s)
     dim_lo = lower_dim(s)
@@ -569,7 +561,7 @@ def _sandwich_scan(
 
     worst_lo = worst_hi = math.inf
     violations: list[ScanViolation] = []
-    rows: list[tuple[str, Fraction, Fraction, float, float, float]] = []
+    rows: list[tuple] = []
     for _ in range(samples):
         a, b, word, suffix, small, big, low, high = draw(rng, digits)
         gap = (b - a) * log_n1
@@ -579,11 +571,11 @@ def _sandwich_scan(
         lo_slack = high - log_lower
         worst_hi = min(worst_hi, up_slack)
         worst_lo = min(worst_lo, lo_slack)
-        label = _word_label(word)
+        label = _word_label(word) if up_slack < -_EPS or lo_slack < -_EPS else ""
         ratio = _exp(high)
         upper = _exp(log_upper)
         lower = _exp(log_lower)
-        rows.append((label + suffix, small, big, ratio, lower, upper))
+        rows.append((word, suffix, small, big, ratio, lower, upper))
         if up_slack < -_EPS:
             violations.append(ScanViolation(label, small, big, _exp(low), upper, "upper"))
         if lo_slack < -_EPS:
@@ -708,9 +700,9 @@ def scan_ball_ratios_vssc(
 def scan_samples_csv(report: ScanReport) -> str:
     """Per-sample dump: word, r, R, ratio, lower_bound, upper_bound."""
     lines = ["word,r,R,ratio,lower_bound,upper_bound"]
-    for label, r, R, ratio, lo, hi in report.rows:
+    for word, suffix, r, R, ratio, lo, hi in report.rows:
         lines.append(
-            f"{label},{r.numerator}/{r.denominator},"
+            f"{_word_label(word)}{suffix},{r.numerator}/{r.denominator},"
             f"{R.numerator}/{R.denominator},{ratio!r},{lo!r},{hi!r}"
         )
     return "\n".join(lines) + "\n"

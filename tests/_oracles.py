@@ -17,7 +17,7 @@ from spongedim import (
     Sponge,
     scale_exponents,
 )
-from spongedim.cubes import DEFAULT_CAP, lattice_column
+from spongedim.cubes import DEFAULT_CAP
 
 Signature = tuple[tuple[int, ...], ...]
 
@@ -157,9 +157,7 @@ def scan_cube_ratios(s: Sponge, m: BernoulliMeasure, samples: int, seed: int,
         worst_hi = min(worst_hi, up_slack)
         worst_lo = min(worst_lo, lo_slack)
         ratio = _exp(log_ratio)
-        rows.append(
-            (_word_label(word), small, big, ratio, _exp(log_lower), _exp(log_upper))
-        )
+        rows.append((word, "", small, big, ratio, _exp(log_lower), _exp(log_upper)))
         if up_slack < -_EPS:
             violations.append(
                 ScanViolation(_word_label(word), small, big, ratio, _exp(log_upper),
@@ -284,15 +282,45 @@ def full_dimension_weights(s: Sponge) -> dict:
     }
 
 
-def alphabet_intervals(base: int, alphabet, level: int) -> list[tuple[Fraction, Fraction]]:
-    """Level-``level`` intervals of the IFS {x -> (x + j)/base : j in alphabet}."""
+def _digit_intervals(base: int, alphabet, level: int) -> list[tuple[Fraction, Fraction]]:
+    """Intervals of the length-``level`` strings over ``alphabet``, in string order.
+
+    A string j_1..j_m starts at sum_t j_t / base^t, and the strings run
+    lexicographically over the sorted alphabet, the first position slowest.
+    """
     out = []
     for combo in itertools.product(sorted(alphabet), repeat=level):
         lo = Fraction(0)
         for depth, j in enumerate(combo, start=1):
             lo += Fraction(j, base**depth)
         out.append((lo, lo + Fraction(1, base**level)))
-    return sorted(set(out))
+    return out
+
+
+def alphabet_intervals(base: int, alphabet, level: int) -> list[tuple[Fraction, Fraction]]:
+    """Level-``level`` intervals of the IFS {x -> (x + j)/base : j in alphabet}."""
+    return sorted(set(_digit_intervals(base, alphabet, level)))
+
+
+def cube_box(s: Sponge, q: ApproximateCube):
+    """The exact box of an approximate cube, one Fraction pair per coordinate.
+
+    Coordinate l starts at sum_t c_t / n_l^t over the cube's pinned digits
+    c_1..c_k of that coordinate and has side n_l^-k.
+    """
+    box = []
+    for n, digits in zip(s.bases, q.constraints):
+        lo = sum((Fraction(c, n**t) for t, c in enumerate(digits, 1)), Fraction(0))
+        box.append((lo, lo + Fraction(1, n ** len(digits))))
+    return tuple(box)
+
+
+def boxset_boxes(bs):
+    """A BoxSet's boxes as Fraction pairs, box by box, for comparisons."""
+    return tuple(zip(*(
+        [(Fraction(v, den), Fraction(v + 1, den)) for v in column]
+        for column, den in zip(bs.columns, bs.dens)
+    )))
 
 
 def brute_adjacent_max_ratio(s: Sponge, m: BernoulliMeasure, depth: int):
@@ -302,7 +330,7 @@ def brute_adjacent_max_ratio(s: Sponge, m: BernoulliMeasure, depth: int):
     boxes pairwise, so it shares nothing with the grid-index bookkeeping in
     the library's doubling scan. Quadratic in the cube count; keep depth low.
     """
-    from spongedim import approximate_cube, cube_measure, geometric_box
+    from spongedim import approximate_cube, cube_measure
 
     r = Fraction(1, s.bases[0] ** depth)
     k = scale_exponents(s, r).k
@@ -312,7 +340,7 @@ def brute_adjacent_max_ratio(s: Sponge, m: BernoulliMeasure, depth: int):
         word = word_from_signature(s, sig, k)
         q = approximate_cube(s, word, r)
         mass = cube_measure(m, word, r).exact
-        entries.append((geometric_box(s, q), mass))
+        entries.append((cube_box(s, q), mass))
     best = None
     for (box_a, mass_a), (box_b, mass_b) in itertools.combinations(entries, 2):
         if _share_face(box_a, box_b):
@@ -401,14 +429,16 @@ def tangent_image_boxes(s: Sponge, R, mode, level: int):
     """Exact tangent-image boxes, in word order.
 
     Keeps the level-``level`` pre-fractal boxes that lie in the tangent
-    cube's box and applies the tangent map to each corner in Fractions.
+    cube's box and scales each by k_l (x - corner) in Fractions, k_l the
+    tangent map's scales and the corner the cube box's lower corner.
     """
-    from spongedim import geometric_box, tangent_map
+    from spongedim import tangent_map
 
     tmap = tangent_map(s, R, mode)
-    cube = geometric_box(s, tmap.cube)
+    cube = cube_box(s, tmap.cube)
     return tuple(
-        tmap.apply_box(box)
+        tuple((k * (lo - c), k * (hi - c))
+              for k, (c, _), (lo, hi) in zip(tmap.scales, cube, box))
         for box in prefractal_boxes(s, level)
         if all(clo <= lo and hi <= chi for (clo, chi), (lo, hi) in zip(cube, box))
     )
@@ -439,11 +469,7 @@ def hat_set_prefractal(s: Sponge, mode, level: int, cap: int = DEFAULT_CAP):
                     f"tangent-set cover needs more than {cap} boxes"
                 )
             total *= len(alpha) ** level
-            den = s.bases[l] ** level
-            lists.append([
-                (Fraction(v, den), Fraction(v + 1, den))
-                for v in lattice_column(s.bases[l], [sorted(alpha)] * level)
-            ])
+            lists.append(_digit_intervals(s.bases[l], alpha, level))
     return tuple(itertools.product(*lists))
 
 
@@ -461,7 +487,7 @@ def tangent_leaf_boxes(s: Sponge, R, mode, level: int):
     word = tangent_word(s, R, mode)
     tmap = tangent_map(s, R, mode)
     k = scale_exponents(s, R).k
-    offsets = [float(v) for v in tmap.offsets]
+    offsets = [float(lo) for lo, _ in cube_box(s, tmap.cube)]
     scales = [float(v) for v in tmap.scales]
     sides = [s.bases[l] ** (k[l] - level) for l in range(s.d)]
     boxes = []

@@ -559,6 +559,43 @@ class TestSizeCaps:
         assert elapsed < 0.5
 
 
+class TestDecimalExponents:
+    """A decimal exponent beyond +-1000 is refused before its power of ten is formed."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("count", "carpet_24.json", "--scale", "1e99999"), 2),
+            (("family-lg", "--min", "1/10", "--max", "1e5000", "--step", "1/10"), 2),
+            (("count", "carpet_24.json", "--scale", "1e-9999999"), 2),
+            (("doubling", "carpet_24.json", "--measure", "w.json", "--max-depth", "2"), 1),
+        ],
+    )
+    def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv, code):
+        weights = {"0,1": "1e-9999999", "1,1": "1/2", "1,3": "1/2"}
+        (tmp_path / "w.json").write_text(json.dumps(weights))
+        argv = [
+            str(tmp_path / arg) if arg == "w.json"
+            else str(spec_dir / arg) if arg.endswith(".json")
+            else arg
+            for arg in argv
+        ]
+        start = time.perf_counter()
+        rc, _, err = invoke(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert rc == code
+        assert "Traceback" not in err
+        assert elapsed < 1.0
+
+    def test_weight_file_named(self, capsys, spec_dir, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"0,1": "1e-9999999", "1,1": "1/2", "1,3": "1/2"}))
+        rc, _, err = invoke(capsys, "doubling", str(spec_dir / "carpet_24.json"),
+                            "--measure", str(path), "--max-depth", "2")
+        assert rc == 1
+        assert err.startswith(f"SpongeFileError: {path}")
+
+
 class TestUndecodableFiles:
     """Text that json cannot decode is a SpongeFileError naming the file."""
 

@@ -18,6 +18,13 @@ class TestScaleExponents:
     def test_unit_scale(self, sponge_234):
         assert sd.scale_exponents(sponge_234, 1).k == (0, 0, 0)
 
+    def test_decimal_exponent_bounded(self, carpet_24):
+        at_bound = sd.scale_exponents(carpet_24, "1e-1000")
+        assert at_bound.scale == Fraction(1, 10**1000)
+        for text in ("1e-1001", "1E+1001", "1e-1_000_000_000"):
+            with pytest.raises(ValueError, match="exponent"):
+                sd.scale_exponents(carpet_24, text)
+
     def test_quarter(self, sponge_234):
         assert sd.scale_exponents(sponge_234, Fraction(1, 4)).k == (2, 1, 1)
 
@@ -101,16 +108,26 @@ class TestApproximateCube:
             assert fine.constraints[l][: len(c)] == c
 
 
+def lattice_cell(s, q):
+    """The cube's box as the cell [o, o + 1] / k of its tangent map."""
+    tmap = sd.TangentMap.from_cube(s, q)
+    return tuple(
+        (Fraction(o, k), Fraction(o + 1, k)) for o, k in zip(tmap.offsets, tmap.scales)
+    )
+
+
 class TestGeometricBox:
+    """A cube's box is the lattice cell of its tangent map's offsets and scales."""
+
     def test_trivial_box(self, sponge_234):
         q = sd.approximate_cube(sponge_234, [], 1)
-        assert sd.geometric_box(sponge_234, q) == tuple(
+        assert lattice_cell(sponge_234, q) == tuple(
             (Fraction(0), Fraction(1)) for _ in range(3)
         )
 
     def test_zero_word_box(self, sponge_234):
         q = sd.approximate_cube(sponge_234, [(0, 0, 0), (0, 0, 0)], Fraction(1, 4))
-        assert sd.geometric_box(sponge_234, q) == (
+        assert lattice_cell(sponge_234, q) == (
             (Fraction(0), Fraction(1, 4)),
             (Fraction(0), Fraction(1, 3)),
             (Fraction(0), Fraction(1, 4)),
@@ -118,10 +135,12 @@ class TestGeometricBox:
 
     def test_positional_arithmetic(self, carpet_24):
         q = sd.approximate_cube(carpet_24, [(0, 1), (1, 1)], Fraction(1, 4))
-        assert sd.geometric_box(carpet_24, q) == (
+        expected = (
             (Fraction(1, 4), Fraction(1, 2)),
             (Fraction(1, 4), Fraction(1, 2)),
         )
+        assert lattice_cell(carpet_24, q) == expected
+        assert oracle.cube_box(carpet_24, q) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**5), a=st.integers(0, 12))
@@ -132,10 +151,11 @@ class TestGeometricBox:
         if r > 1:
             r = Fraction(1)
         word = [rng.choice(s.digits) for _ in range(sd.scale_exponents(s, r).k[0])]
-        box = sd.geometric_box(s, sd.approximate_cube(s, word, r))
-        for (lo, hi), n in zip(box, s.bases):
-            side = hi - lo
+        q = sd.approximate_cube(s, word, r)
+        for k, n in zip(q.exponents.k, s.bases):
+            side = Fraction(1, n**k)
             assert r <= side < n * r
+        assert lattice_cell(s, q) == oracle.cube_box(s, q)
 
 
 class TestAdmit:
@@ -262,19 +282,19 @@ class TestPrefractal:
     def test_level_zero(self, sponge_234):
         bs = sd.prefractal(sponge_234, 0)
         assert len(bs) == 1
-        assert bs.boxes[0] == tuple((Fraction(0), Fraction(1)) for _ in range(3))
+        assert oracle.boxset_boxes(bs)[0] == tuple((Fraction(0), Fraction(1)) for _ in range(3))
 
     def test_level_one_sides(self, sponge_234):
         bs = sd.prefractal(sponge_234, 1)
         assert len(bs) == 10
-        for box in bs:
+        for box in oracle.boxset_boxes(bs):
             sides = tuple(hi - lo for lo, hi in box)
             assert sides == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
 
     def test_level_two_interior_disjoint(self, sponge_234):
         bs = sd.prefractal(sponge_234, 2)
         assert len(bs) == 100
-        boxes = sorted(bs.boxes)
+        boxes = sorted(oracle.boxset_boxes(bs))
         for i, a in enumerate(boxes):
             for b in boxes[i + 1 :]:
                 if b[0][0] >= a[0][1]:
@@ -286,8 +306,8 @@ class TestPrefractal:
                 assert not overlap
 
     def test_each_box_has_one_parent(self, carpet_24):
-        parents = sd.prefractal(carpet_24, 1).boxes
-        for child in sd.prefractal(carpet_24, 2):
+        parents = oracle.boxset_boxes(sd.prefractal(carpet_24, 1))
+        for child in oracle.boxset_boxes(sd.prefractal(carpet_24, 2)):
             containing = [
                 p
                 for p in parents
@@ -335,7 +355,7 @@ class TestExportOracle:
         for level in levels:
             bs = sd.prefractal(s, level)
             expected = oracle.prefractal_boxes(s, level)
-            assert bs.boxes == expected
+            assert oracle.boxset_boxes(bs) == expected
             assert sd.boxes_to_csv(bs) == oracle.boxes_csv(expected)
             if s.d == 2:
                 assert sd.boxes_to_svg(bs) == oracle.boxes_svg(expected)
