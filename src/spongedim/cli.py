@@ -10,7 +10,6 @@ are 0 for success, 1 for domain errors, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from fractions import Fraction
 
@@ -32,7 +31,6 @@ from .verify import (
     Mode,
     check_tangent_convergence,
     doubling_report,
-    doubling_reports,
     report_to_json,
     scan_ball_ratios_vssc,
     scan_cube_ratios,
@@ -214,18 +212,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_doubling(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
     if args.grid is not None:
-        # the sweep draws from its own copy of the grid, one measure ahead
-        # of this loop at most, so no measure outlives its report
-        grid, drawn = itertools.tee(positive_weight_grid(s, args.grid))
-        reports = doubling_reports(s, drawn, args.max_depth)
-        results = [
-            {
+        results = []
+        for m in positive_weight_grid(s, args.grid):
+            report = doubling_report(s, m, args.max_depth)
+            results.append({
                 "weights": weights_to_doc(m),
                 "growth_rate": report.growth_rate,
                 "verdict": report.verdict,
-            }
-            for m, report in zip(grid, reports)
-        ]
+            })
         print(report_to_json({
             "step": args.grid,
             "max_depth": args.max_depth,

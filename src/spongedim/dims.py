@@ -205,7 +205,7 @@ def lg_family_csv(lo: Fraction, hi: Fraction, step: Fraction) -> str:
     if lo > hi:
         raise ScaleOutOfRange(f"empty parameter range [{lo}, {hi}]")
     rows = (hi - lo) // step + 1
-    admit(f"{rows} rows", [rows])
+    admit(f"rows from {lo} to {hi} in steps of {step}", [rows])
     lines = ["lambda,lower,hausdorff,box,assouad"]
     for k in range(rows):
         lam = lo + k * step

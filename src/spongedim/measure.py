@@ -347,8 +347,7 @@ def positive_weight_grid(s: Sponge, step: ScaleLike):
         raise ScaleOutOfRange(
             f"grid step 1/{q} leaves no positive vector for {m} digits"
         )
-    count = math.comb(q - 1, m - 1)
-    admit(f"grid step 1/{q} gives {count} weight vectors", [count])
+    admit(f"grid step 1/{q} over {m} digits", [math.comb(q - 1, m - 1)])
     # a vector is a choice of m - 1 cut points in 1..q-1; cuts in
     # lexicographic order give the parts in lexicographic order
     for cuts in itertools.combinations(range(1, q), m - 1):

@@ -19,9 +19,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     NonStrictBases,
@@ -875,6 +875,11 @@ def _slope(points: list[tuple[float, float]]) -> float:
     return sxy / sxx
 
 
+@lru_cache(maxsize=1)
+def _depth_plans(s: Sponge, max_depth: int) -> tuple[_DepthPlan, ...]:
+    return tuple(_DepthPlan(s, k) for k in range(1, max_depth + 1))
+
+
 def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingReport:
     """Adjacent-cube mass ratios per depth and their geometric growth.
 
@@ -883,14 +888,15 @@ def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingR
     coordinates differ by one in exactly one coordinate.
 
     The adjacent pairs of a depth are grouped by their middles, the moved
-    word positions that fix a pair's mass ratio (see ``_DepthPlan``),
-    planned once per depth and shared by every measure of a
-    ``doubling_reports`` sweep.  Each middle's ratio is computed exactly,
-    and ``max_ratio`` is the exact maximum, correctly rounded to a float.
-    The witness is the first pair, in lexicographic order of the lower
-    cube's grid coordinates and then the coordinate of the step, whose
-    ratio equals the maximum exactly, so exact ties are never broken by
-    rounding.
+    word positions that fix a pair's mass ratio (see ``_DepthPlan``).  The
+    plans of all depths are built, and checked against the cap, before any
+    row; they hold middles, not cubes, read no measure, and are kept for the
+    next call with the same sponge and depth, so a weight-grid sweep plans
+    once.  Each middle's ratio is computed exactly, and ``max_ratio`` is the
+    exact maximum, correctly rounded to a float.  The witness is the first
+    pair, in lexicographic order of the lower cube's grid coordinates and
+    then the coordinate of the step, whose ratio equals the maximum exactly,
+    so exact ties are never broken by rounding.
 
     The growth rate is fitted over buckets of depths sharing the
     finest-coordinate refinement count, using each bucket's maximum ratio;
@@ -898,33 +904,10 @@ def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingR
     rise monotonically across three consecutive depths with a strict net
     gain, so transient bumps are not flagged.
     """
-    return next(doubling_reports(s, [m], max_depth))
-
-
-def doubling_reports(
-    s: Sponge, measures: Iterable[BernoulliMeasure], max_depth: int
-) -> Iterator[DoublingReport]:
-    """``doubling_report`` for each measure, drawn and reported one at a time.
-
-    The plans of all depths are built, and checked against the cap, before
-    this returns; they hold middles, not cubes, and every measure shares
-    them.  A measure is drawn from ``measures`` only when its report is
-    asked for, so a sweep over a lazy grid holds one measure at a time.
-    """
     if max_depth < 1:
         raise ScaleOutOfRange(f"max_depth must be >= 1, got {max_depth}")
-    plans = [_DepthPlan(s, k) for k in range(1, max_depth + 1)]
-    return (
-        _doubling_verdict(
-            plans, [plan.max_ratio_row(k, m) for k, plan in enumerate(plans, 1)]
-        )
-        for m in measures
-    )
-
-
-def _doubling_verdict(
-    plans: list[_DepthPlan], rows: list[DepthRatioRow]
-) -> DoublingReport:
+    plans = _depth_plans(s, max_depth)
+    rows = [plan.max_ratio_row(k, m) for k, plan in enumerate(plans, 1)]
     bucket_best: dict[int, float] = {}
     for plan, row in zip(plans, rows):
         if row.max_ratio is not None:

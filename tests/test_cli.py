@@ -519,6 +519,7 @@ class TestRender:
 # Its level-11 tangent cover (786,432 boxes) is under the cap, but the
 # product cover has 10,097,892 cell corners, one cover walk each.
 WIDE = {"bases": [2, 3], "digits": [[0, 0], [0, 1], [0, 2], [1, 0]]}
+HUGE = "9" * 3000
 
 
 class TestSizeCaps:
@@ -540,6 +541,11 @@ class TestSizeCaps:
             # refused by its corner count; when only the cover was counted,
             # this ran for about 20 minutes (extrapolated) instead
             ("tangent", "wide.json", "--scale", "1/4", "--mode", "max", "--level", "11"),
+            # counts with more digits than str() converts: the messages name
+            # the inputs, so none is formatted
+            ("doubling", "sponge_234.json", "--grid", "1/" + HUGE, "--max-depth", "1"),
+            ("family-lg", "--min", "1/" + HUGE, "--max", HUGE, "--step", "1/" + HUGE),
+            ("family-lg", "--min", "1/" + HUGE, "--max", "1/2", "--step", "1/" + HUGE),
         ],
     )
     def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spongedim as sd
+import spongedim.verify as verify
 import _oracles as oracle
 from conftest import random_strict_sponge
 from spongedim.verify import (
@@ -193,10 +194,8 @@ class TestDoubling:
             measures.append(sd.BernoulliMeasure(
                 s, {t: Fraction(a, sum(ints)) for t, a in zip(digits, ints)}
             ))
-        reports = list(sd.doubling_reports(s, measures, max_depth))
-        for m, rep in zip(measures, reports):
-            self._assert_matches_oracle(s, m, rep)
-        assert reports == [sd.doubling_report(s, m, max_depth) for m in measures]
+        for m in measures:
+            self._assert_matches_oracle(s, m, sd.doubling_report(s, m, max_depth))
 
     @pytest.mark.parametrize(
         "name, depth",
@@ -248,25 +247,27 @@ class TestDoubling:
             assert len(pairs) == plan.pair_count
             assert sorted(pairs) == sorted(oracle.adjacent_pairs(s, k))
 
-    def test_measures_are_drawn_lazily(self, carpet_24):
-        drawn = []
+    def test_a_sweep_plans_each_depth_once(self, carpet_24, monkeypatch):
+        builds = []
 
-        def recording():
+        class Recording(verify._DepthPlan):
+            def __init__(self, s, k):
+                builds.append(k)
+                super().__init__(s, k)
+
+        monkeypatch.setattr(verify, "_DepthPlan", Recording)
+        verify._depth_plans.cache_clear()
+        try:
             for m in sd.positive_weight_grid(carpet_24, Fraction(1, 5)):
-                drawn.append(m)
-                yield m
-
-        reports = sd.doubling_reports(carpet_24, recording(), 4)
-        assert drawn == []
-        first = next(reports)
-        assert len(drawn) == 1
-        assert first == sd.doubling_report(carpet_24, drawn[0], 4)
-        assert len(list(reports)) == 5 and len(drawn) == 6
+                sd.doubling_report(carpet_24, m, 4)
+        finally:
+            verify._depth_plans.cache_clear()
+        assert builds == [1, 2, 3, 4]
 
     def test_cap_checked_before_a_depth_is_built(self, carpet_24):
         m = sd.coordinate_uniform(carpet_24)
         with pytest.raises(sd.EnumerationTooLarge, match="depth 18 needs 10077696 cubes"):
-            sd.doubling_reports(carpet_24, [m, m], 20)
+            sd.doubling_report(carpet_24, m, 20)
 
 
 class TestWitnesses:
