@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -56,9 +57,11 @@ def as_scale(r: ScaleLike) -> Fraction:
 
     Strings accept 'p/q' or decimal notation and convert exactly; a decimal
     exponent outside +-1000 is refused (ValueError) before Fraction forms its
-    power of ten, which for a long exponent alone takes minutes.  Floats are
-    taken at their exact binary value, so prefer fractions or strings when a
-    boundary scale like 1/27 is intended.
+    power of ten, which for a long exponent alone takes minutes.  So is a
+    value whose numerator or denominator has more digits than ``str()``
+    converts (``sys.get_int_max_str_digits()``), since no message or output
+    could print it.  Floats are taken at their exact binary value, so prefer
+    fractions or strings when a boundary scale like 1/27 is intended.
     """
     if isinstance(r, Fraction):
         return r
@@ -70,11 +73,15 @@ def as_scale(r: ScaleLike) -> Fraction:
     try:
         if e and abs(int(exponent)) > _MAX_DECIMAL_EXPONENT:
             raise ValueError
-        return Fraction(r)
+        value = Fraction(r)
     except (ValueError, ZeroDivisionError):
         raise ValueError(
             f"{r!r} is not p/q or a decimal with exponent in +-{_MAX_DECIMAL_EXPONENT}"
         ) from None
+    digits = sys.get_int_max_str_digits()
+    if digits and max(abs(value.numerator), value.denominator) >= 10**digits:
+        raise ValueError(f"{r!r} has a numerator or denominator over {digits} digits")
+    return value
 
 
 @dataclass(frozen=True)

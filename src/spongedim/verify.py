@@ -318,39 +318,50 @@ class _CoverTree:
             pad,
         )
 
-    def least(self, score: Callable[[list[float], int], float]) -> float:
-        """Least ``score`` over the leaves, by branch and bound.
+    def least(
+        self,
+        score: Callable[[list[float], int], float],
+        best: float = math.inf,
+        leaf: list[float] | None = None,
+        stop: float = -math.inf,
+    ) -> tuple[float, list[float] | None]:
+        """Least ``score`` over the leaves, by branch and bound, and its leaf.
 
         ``score(corner, t)`` takes a depth-t node's image lower corner.  It
         must be exact at leaves (t == level) and, below that, no larger than
         the score of any leaf under the node.  Children are visited in order
         of score, and a node is dropped once its score reaches the best leaf
         found: no leaf under it can be strictly smaller.
+
+        A caller that already holds a leaf may start the walk from it: ``best``
+        is that leaf's score and ``leaf`` its image corner, which is returned
+        if no leaf scores below it.  The walk returns early, with the best
+        leaf so far, once ``best <= stop``.  A walk that does not stop early
+        returns the least leaf score exactly, whatever the start, since it is
+        the minimum of the same float values.
         """
         level = len(self.steps)
         offsets, scales = self.offsets, self.scales
-        best = math.inf
         stack: list[tuple[float, int, list[float]]] = [
             (-math.inf, 0, [0.0] * len(offsets))
         ]
-        while stack:
+        while stack and best > stop:
             bound, t, lo = stack.pop()
             if bound >= best:
                 continue
             children = []
             for delta in self.steps[t]:
                 child = [a + b for a, b in zip(lo, delta)]
-                value = score(
-                    [(c - o) * k for c, o, k in zip(child, offsets, scales)], t + 1
-                )
+                image = [(c - o) * k for c, o, k in zip(child, offsets, scales)]
+                value = score(image, t + 1)
                 if value < best:
                     if t + 1 == level:
-                        best = value
+                        best, leaf = value, image
                     else:
                         children.append((value, t + 1, child))
             children.sort(key=itemgetter(0), reverse=True)
             stack.extend(children)
-        return best
+        return best, leaf
 
 
 @dataclass(frozen=True)
@@ -395,6 +406,16 @@ def check_tangent_convergence(
     are scored with the float expressions of a leaf-by-leaf scan and the
     square root is taken once at the end, so the result does not depend on
     which nodes were dropped.
+
+    `toward` walks the corners in product order and keeps ``worst``, the
+    largest nearest-leaf score so far.  Each corner is first scored against
+    the leaf nearest the previous corner, its neighbour in that order.  If
+    that score is <= ``worst``, the corner's least score is too, so it cannot
+    raise the maximum and is skipped.  Otherwise the walk starts from that
+    leaf's score and stops once its best drops to ``worst``.  A walk that
+    ends above ``worst`` has taken the minimum over the same leaf values as
+    a walk from scratch, so ``worst`` is the same float as the maximum of
+    one full walk per corner.
 
     The reported bound has two parts: the block-length term
     sqrt(d) max_l n_l^{-(k_{l-1}-k_l)} coming from the construction, and a
@@ -448,10 +469,15 @@ def check_tangent_convergence(
             total += c * c
         return total
 
-    away = math.sqrt(-tree.least(away_score))
-    worst = max(
-        tree.least(partial(toward_score, x)) for x in itertools.product(*corner_values)
-    )
+    away = math.sqrt(-tree.least(away_score)[0])
+    worst = 0.0
+    hint = None
+    for x in itertools.product(*corner_values):
+        start = math.inf if hint is None else toward_score(x, hint, level)
+        if start <= worst:
+            continue
+        value, hint = tree.least(partial(toward_score, x), start, hint, worst)
+        worst = max(worst, value)
     toward = math.sqrt(worst)
     distance = max(away, toward)
 

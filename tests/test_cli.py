@@ -566,7 +566,11 @@ class TestSizeCaps:
 
 
 class TestDecimalExponents:
-    """A decimal exponent beyond +-1000 is refused before its power of ten is formed."""
+    """Decimals too big to form or to print are refused quickly.
+
+    An exponent beyond +-1000 is refused before its power of ten is formed,
+    and a value with more digits than str() converts once it is parsed.
+    """
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -575,6 +579,7 @@ class TestDecimalExponents:
             (("family-lg", "--min", "1/10", "--max", "1e5000", "--step", "1/10"), 2),
             (("count", "carpet_24.json", "--scale", "1e-9999999"), 2),
             (("doubling", "carpet_24.json", "--measure", "w.json", "--max-depth", "2"), 1),
+            (("family-lg", "--min", "1/10", "--max", "9" * 4000 + "e1000", "--step", "1/10"), 2),
         ],
     )
     def test_refused_quickly(self, capsys, spec_dir, tmp_path, argv, code):

@@ -480,6 +480,48 @@ class TestTangentConvergence:
         with pytest.raises(sd.EnumerationTooLarge):
             sd.check_tangent_convergence(sponge_234, Fraction(1, 16), Mode.MAX, 10**9)
 
+    @pytest.mark.parametrize(
+        "name, R, level, distance",
+        [
+            ("sponge_234", Fraction(1, 16), 7, 0.37238729685000227),
+            ("sponge_234", Fraction(1, 16), 8, 0.3726052360174504),
+            ("wide", Fraction(1, 4), 8, 0.3306070737487516),
+        ],
+        ids=["sponge_234-7", "sponge_234-8", "wide-8"],
+    )
+    def test_deep_levels_match_per_corner_walk(self, request, name, R, level, distance):
+        # Recorded from a walk that searched every corner from scratch; the
+        # leaf-by-leaf oracle is too slow at these levels.
+        if name == "wide":
+            s = sd.validate_sponge((2, 3), [(0, 0), (0, 1), (0, 2), (1, 0)])
+        else:
+            s = request.getfixturevalue(name)
+        assert sd.check_tangent_convergence(s, R, Mode.MAX, level).distance == distance
+
+    def test_toward_skips_corners_and_stops_walks_early(self, sponge_234, monkeypatch):
+        R, level = Fraction(1, 4), 4
+        least = verify._CoverTree.least
+        walks = []
+
+        def recording(tree, score, best=math.inf, leaf=None, stop=-math.inf):
+            value, found = least(tree, score, best, leaf, stop)
+            if stop > -math.inf:
+                walks.append((value, stop, least(tree, score)[0]))
+            return value, found
+
+        monkeypatch.setattr(verify._CoverTree, "least", recording)
+        rep = sd.check_tangent_convergence(sponge_234, R, Mode.MAX, level)
+        assert rep.distance == oracle.tangent_distance(sponge_234, R, Mode.MAX, level)
+        alphabets = sd.hat_digit_alphabets(sponge_234, Mode.MAX)
+        corners = math.prod(
+            len({v for iv in oracle.alphabet_intervals(n, alphabet, rep.refinement)
+                 for v in iv})
+            for n, alphabet in zip(sponge_234.bases, alphabets)
+        )
+        assert len(walks) < corners
+        # a walk that returned above its corner's least score stopped early
+        assert any(exact < value <= stop for value, stop, exact in walks)
+
 
 @st.composite
 def _dyadic_union(draw):
