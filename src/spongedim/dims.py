@@ -16,6 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .cubes import admit
 from .errors import InternalError, NonStrictBases, ScaleOutOfRange
@@ -30,22 +31,24 @@ def _require_strict(s: Sponge, what: str) -> None:
         )
 
 
-def assouad_dim(s: Sponge) -> float:
-    """log N/log n_1 plus the per-level maximal branching exponents."""
-    _require_strict(s, "assouad_dim")
+def _branching_dim(s: Sponge, what: str, pick: Callable[..., int]) -> float:
+    """log N/log n_1 plus the per-level exponents of the fibre count ``pick``
+    takes from each level's (min, max)."""
+    _require_strict(s, what)
     value = math.log(len(s.level_sets[1])) / math.log(s.bases[0])
     for l in range(2, s.d + 1):
-        value += math.log(s.fibre_count_range(l)[1]) / math.log(s.bases[l - 1])
+        value += math.log(pick(s.fibre_count_range(l))) / math.log(s.bases[l - 1])
     return value
+
+
+def assouad_dim(s: Sponge) -> float:
+    """log N/log n_1 plus the per-level maximal branching exponents."""
+    return _branching_dim(s, "assouad_dim", max)
 
 
 def lower_dim(s: Sponge) -> float:
     """Same shape as assouad_dim with minima in place of maxima."""
-    _require_strict(s, "lower_dim")
-    value = math.log(len(s.level_sets[1])) / math.log(s.bases[0])
-    for l in range(2, s.d + 1):
-        value += math.log(s.fibre_count_range(l)[0]) / math.log(s.bases[l - 1])
-    return value
+    return _branching_dim(s, "lower_dim", min)
 
 
 def box_dim(s: Sponge) -> float:
@@ -146,29 +149,17 @@ class DimReport:
 
 
 def dim_report(s: Sponge) -> DimReport:
-    box = box_dim(s)
-    hausdorff = hausdorff_dim(s)
-    if s.strict_bases:
-        return DimReport(
-            strictness_ok=True,
-            assouad=assouad_dim(s),
-            lower=lower_dim(s),
-            box=box,
-            hausdorff=hausdorff,
-            lower_via_zprime=lower_via_zprime(s),
-            dichotomy=dichotomy(s),
-            errors={},
-        )
+    strict = s.strict_bases
     omitted = ("assouad", "lower", "lower_via_zprime", "dichotomy")
     return DimReport(
-        strictness_ok=False,
-        assouad=None,
-        lower=None,
-        box=box,
-        hausdorff=hausdorff,
-        lower_via_zprime=None,
-        dichotomy=None,
-        errors=dict.fromkeys(omitted, "NonStrictBases"),
+        strictness_ok=strict,
+        assouad=assouad_dim(s) if strict else None,
+        lower=lower_dim(s) if strict else None,
+        box=box_dim(s),
+        hausdorff=hausdorff_dim(s),
+        lower_via_zprime=lower_via_zprime(s) if strict else None,
+        dichotomy=dichotomy(s) if strict else None,
+        errors={} if strict else dict.fromkeys(omitted, "NonStrictBases"),
     )
 
 

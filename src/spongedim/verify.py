@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -781,9 +781,9 @@ class _DepthPlan:
     """Adjacent cube pairs at one depth, grouped by their middles.
 
     Nothing here reads a measure, and the plan holds nothing per cube.
-    Position t of a word picks a tuple of L_t = level_sets[levels[t]], and
-    a cube's mass is the product over positions of its tuples' prefix
-    masses.
+    Position t of a word picks a tuple of L_t, the level set of the
+    coordinates it pins, and a cube's mass is the product over positions
+    of its tuples' prefix masses.
 
     The neighbour one step up in coordinate l (pinned at positions
     t < k_l) adds one to the l-digit of the last position j < k_l whose
@@ -793,16 +793,8 @@ class _DepthPlan:
     pairs a lower and an upper cube for every choice of the free positions,
     before j and from k_l on, and all those pairs have the same mass ratio:
     the product of the prefix-mass ratios at positions j..k_l-1.
-    ``middles`` holds (l, lower, upper, key): the tuples of positions
-    j..k_l-1 before and after the step, and the least key of the middle's
-    lower cubes.
-
-    Keys pack grid coordinates as sum_l g_l * stride_l with
-    stride_l = prod_{j>l} (n_j^k_j + 1): the radix leaves room for g_l + 1,
-    so key order is lexicographic order of the coordinates and
-    key + stride_l is the neighbour up in l.  A key is the sum over
-    positions of what each position's tuple adds to it, so a middle's least
-    key adds the least addend of every free position to its lower tuples'.
+    ``middles`` holds (l, lower, upper): the tuples of positions j..k_l-1
+    before and after the step.  ``least[t]`` is the least tuple of L_t.
     """
 
     def __init__(self, s: Sponge, k: int) -> None:
@@ -811,63 +803,53 @@ class _DepthPlan:
         admit(f"depth {k} needs {count} cubes", [count])
         ks = scale_exponents(s, r).k
         self.ks = ks
-        self.radices = [n**kl + 1 for n, kl in zip(s.bases, ks)]
-        strides = [1] * s.d
-        for l in range(s.d - 2, -1, -1):
-            strides[l] = strides[l + 1] * self.radices[l + 1]
-        self.strides = strides
-        # position t pins the first levels[t] coordinates
-        levels = [_column_width(ks, t) for t in range(1, ks[0] + 1)]
-        sets = [s.level_sets[level] for level in levels]
-        # addends[t][p]: the key added by tuple p at position t
-        addends = []
-        for t, level in enumerate(levels):
-            scales = [
-                n ** (kl - 1 - t) * st
-                for n, kl, st in zip(s.bases[:level], ks, strides)
-            ]
-            addends.append({p: sum(map(mul, p, scales)) for p in sets[t]})
-        self.middles: list[tuple[int, tuple, tuple, int]] = []
+        self.bases = s.bases
+        sets = [s.level_sets[_column_width(ks, t)] for t in range(1, ks[0] + 1)]
+        self.least = [min(level_set) for level_set in sets]
+        self.middles: list[tuple[int, tuple, tuple]] = []
         self.pair_count = 0
         for l, (n, kl) in enumerate(zip(s.bases, ks)):
-            # (lower, upper, key added by lower) of the wraps at positions j+1..kl-1
-            tail = [((), (), 0)]
+            # (lower, upper) of the wraps at positions j+1..kl-1
+            tail = [((), ())]
             for j in range(kl - 1, -1, -1):
                 steps, wraps = _moves(sets[j], l, n)
-                free = [t for t in range(len(sets)) if t < j or t >= kl]
-                least = sum(min(addends[t].values()) for t in free)
-                self.pair_count += (
-                    len(steps) * len(tail) * math.prod(len(sets[t]) for t in free)
-                )
+                free = [len(sets[t]) for t in range(len(sets)) if t < j or t >= kl]
+                self.pair_count += len(steps) * len(tail) * math.prod(free)
                 self.middles += [
-                    (l, (p, *lo), (q, *up), least + addends[j][p] + key)
-                    for p, q in steps
-                    for lo, up, key in tail
+                    (l, (p, *lo), (q, *up)) for p, q in steps for lo, up in tail
                 ]
-                tail = [
-                    ((p, *lo), (q, *up), addends[j][p] + key)
-                    for p, q in wraps
-                    for lo, up, key in tail
-                ]
+                tail = [((p, *lo), (q, *up)) for p, q in wraps for lo, up in tail]
                 if not tail:
                     break
 
-    def coordinates(self, key: int) -> tuple[int, ...]:
-        """Grid coordinates of the cube with this key."""
-        return tuple(key // st % rad for st, rad in zip(self.strides, self.radices))
+    def least_lower(self, l: int, lower: tuple) -> tuple[int, ...]:
+        """Grid coordinates of the least lower cube of the middle (l, lower, _).
+
+        Its word has ``least[t]`` at every free position: grid coordinates
+        add over positions, lexicographic order is kept under addition, and
+        one position's term orders like its tuple.  Coordinate i reads the
+        word's i-digits at positions t < k_i in base n_i.
+        """
+        kl = self.ks[l]
+        word = [*self.least[: kl - len(lower)], *lower, *self.least[kl:]]
+        return tuple(
+            sum(p[i] * n ** (ki - 1 - t) for t, p in enumerate(word[:ki]))
+            for i, (n, ki) in enumerate(zip(self.bases, self.ks))
+        )
 
     def max_ratio_row(self, depth: int, m: BernoulliMeasure) -> DepthRatioRow:
         """The row of one measure: its largest adjacent mass ratio and witness.
 
         A pair's ratio is the larger of its two quotients, so the maximum is
         the largest such ratio over the middles, exact.  The witness is the
-        pair with the smallest (key, coordinate) among the middles whose
-        ratio equals it.  A maximum above the float range raises ZeroMeasure.
+        pair with the smallest (lower cube, coordinate) among the middles
+        whose ratio equals it.  A maximum above the float range raises
+        ZeroMeasure.
         """
         if not self.middles:
             return DepthRatioRow(depth, 0, None, None)
         ratios = []
-        for _, lower, upper, _ in self.middles:
+        for _, lower, upper in self.middles:
             num = den = 1
             for p, q in zip(lower, upper):
                 a, b = m.prefix_mass(p), m.prefix_mass(q)
@@ -875,8 +857,9 @@ class _DepthPlan:
                 den *= a.denominator * b.numerator
             ratios.append(Fraction(max(num, den), min(num, den)))
         best = max(ratios)
-        key, l = min(
-            (key, l) for ratio, (l, _, _, key) in zip(ratios, self.middles)
+        lower, l = min(
+            (self.least_lower(l, lower), l)
+            for ratio, (l, lower, _) in zip(ratios, self.middles)
             if ratio == best
         )
         try:
@@ -886,8 +869,8 @@ class _DepthPlan:
                 f"the largest adjacent mass ratio at depth {depth} exceeds the "
                 "float range"
             ) from None
-        witness = (self.coordinates(key), self.coordinates(key + self.strides[l]))
-        return DepthRatioRow(depth, self.pair_count, top, witness)
+        upper = (*lower[:l], lower[l] + 1, *lower[l + 1 :])
+        return DepthRatioRow(depth, self.pair_count, top, (lower, upper))
 
 
 def _slope(points: list[tuple[float, float]]) -> float:

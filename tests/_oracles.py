@@ -5,6 +5,7 @@ closed forms or factorizations used by the library, so agreement is meaningful
 evidence rather than the same code run twice.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -27,10 +28,16 @@ def cube_signature(s: Sponge, word, k: tuple[int, ...]) -> Signature:
     return tuple(tuple(t[l] for t in word[: k[l]]) for l in range(s.d))
 
 
-def all_signatures(s: Sponge, r) -> set[Signature]:
-    """Every distinct constraint pattern at scale ``r``, by full enumeration."""
+@functools.lru_cache(maxsize=2)
+def all_signatures(s: Sponge, r) -> frozenset[Signature]:
+    """Every distinct constraint pattern at scale ``r``, by full enumeration.
+
+    Kept for the last two (sponge, scale) pairs, so a count and the subcube
+    checks that follow it at one scale enumerate it once.
+    """
     k = scale_exponents(s, r).k
-    return {cube_signature(s, w, k) for w in itertools.product(s.digits, repeat=k[0])}
+    words = itertools.product(s.digits, repeat=k[0])
+    return frozenset(cube_signature(s, w, k) for w in words)
 
 
 def brute_count_cubes(s: Sponge, r) -> int:

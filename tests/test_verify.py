@@ -199,11 +199,20 @@ class TestDoubling:
 
     @pytest.mark.parametrize(
         "name, depth",
-        [("carpet_24", 9), ("sponge_234", 5), ("sponge_344", 3), ("carpet_vssc", 8)],
+        [
+            ("carpet_24", 9),
+            ("sponge_234", 5),
+            ("sponge_344", 3),
+            ("carpet_vssc", 8),
+            ("full_grid_234", 4),
+        ],
     )
     def test_sample_sponges_match_recursive_oracle(self, request, name, depth):
+        """Under uniform weights on ``full_grid_234`` every middle ties, so
+        the witness there is the tie-break alone."""
         s = request.getfixturevalue(name)
-        for m in list(sd.positive_weight_grid(s, Fraction(1, len(s.digits) + 1)))[:3]:
+        grid = list(sd.positive_weight_grid(s, Fraction(1, len(s.digits) + 1)))[:3]
+        for m in [sd.coordinate_uniform(s), *grid]:
             self._assert_matches_oracle(s, m, sd.doubling_report(s, m, depth))
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -211,7 +220,7 @@ class TestDoubling:
     @given(seed=st.integers(0, 10**5), max_depth=st.integers(1, 4))
     def test_plan_middles_are_the_face_sharing_pairs(self, d, seed, max_depth):
         """Middles, expanded over every prefix and suffix, are each face-sharing
-        pair once, and a middle's key is its least lower cube.
+        pair once, and ``least_lower`` is a middle's least lower cube.
 
         Bases are strictly increasing, so depth 1 leaves every coordinate
         but the first unpinned (k_l = 0), and deeper depths often leave the
@@ -235,14 +244,14 @@ class TestDoubling:
                 )
 
             pairs = []
-            for l, lower, upper, key in plan.middles:
+            for l, lower, upper in plan.middles:
                 j = ks[l] - len(lower)
                 expanded = [
                     (grid(prefix + lower + suffix), grid(prefix + upper + suffix))
                     for prefix in itertools.product(*sets[:j])
                     for suffix in itertools.product(*sets[ks[l]:])
                 ]
-                assert plan.coordinates(key) == min(expanded)[0]
+                assert plan.least_lower(l, lower) == min(expanded)[0]
                 pairs += expanded
             assert len(pairs) == plan.pair_count
             assert sorted(pairs) == sorted(oracle.adjacent_pairs(s, k))
