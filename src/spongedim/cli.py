@@ -47,21 +47,20 @@ def _parse_scale(text: str) -> Fraction:
     'p/q' is always kept exact.  Decimals convert exactly when possible;
     otherwise the nearest rational with denominator <= 10^9 is used and the
     substitution is reported, because exactness matters at bracket
-    boundaries r = n_l^-k.
+    boundaries r = n_l^-k.  A decimal is never snapped to 0: it stays exact.
     """
     try:
         value = as_scale(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
-    if "/" not in text and value.denominator > _MAX_DENOMINATOR:
-        snapped = value.limit_denominator(_MAX_DENOMINATOR)
-        print(
-            f"note: scale {text} snapped to "
-            f"{snapped.numerator}/{snapped.denominator}",
-            file=sys.stderr,
-        )
-        return snapped
-    return value
+    snapped = value.limit_denominator(_MAX_DENOMINATOR)
+    if "/" in text or snapped in (value, 0):
+        return value
+    print(
+        f"note: scale {text} snapped to {snapped.numerator}/{snapped.denominator}",
+        file=sys.stderr,
+    )
+    return snapped
 
 
 def _parse_word(text: str) -> tuple[tuple[int, ...], ...]:

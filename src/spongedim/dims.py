@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cubes import admit
+from .cubes import ScaleLike, admit, as_scale
 from .errors import InternalError, NonStrictBases, ScaleOutOfRange
+from .measure import _rational_log
 from .model import Prefix, Sponge, has_uniform_fibres
 from .tolerances import _RECURSION_TOL
 
@@ -163,7 +164,7 @@ def dim_report(s: Sponge) -> DimReport:
     )
 
 
-def lg_family_dims(lam: Fraction | float | str) -> tuple[float, float, float, float]:
+def lg_family_dims(lam: ScaleLike) -> tuple[float, float, float, float]:
     """(lower, hausdorff, box, assouad) for the three-map planar family.
 
     The family contracts horizontally by 1/2 and vertically by lam with two
@@ -172,13 +173,13 @@ def lg_family_dims(lam: Fraction | float | str) -> tuple[float, float, float, fl
     lam = 1/2 the attractor is self-similar and all four collapse to
     log 3 / log 2.  Assouad and lower therefore jump at the endpoint.
     """
-    x = Fraction(lam) if isinstance(lam, (int, Fraction)) else Fraction(str(lam))
+    x = as_scale(lam)
     if not 0 < x <= Fraction(1, 2):
         raise ScaleOutOfRange(f"family parameter must lie in (0, 1/2], got {x}")
     if x == Fraction(1, 2):
         v = math.log(3) / math.log(2)
         return (v, v, v, v)
-    log_lam = math.log(float(x))
+    log_lam = _rational_log(x).log_value
     lower = 1.0
     hausdorff = math.log(1 + 2 ** (-math.log(2) / log_lam)) / math.log(2)
     box = 1 + math.log(Fraction(3, 2)) / (-log_lam)

@@ -64,7 +64,7 @@ class BernoulliMeasure:
 
     def __post_init__(self) -> None:
         s = self.sponge
-        w = {tuple(k): Fraction(v) for k, v in self.weights.items()}
+        w = {tuple(k): as_scale(v) for k, v in self.weights.items()}
         if set(w) != set(s.digits):
             missing = set(s.digits) - set(w)
             extra = set(w) - set(s.digits)
@@ -143,35 +143,35 @@ def conditional_prob(m: BernoulliMeasure, p: Sequence[int], nxt: int) -> Fractio
 
 
 def cube_measure(
-    m: BernoulliMeasure,
-    w: Sequence[Sequence[int]],
-    r: ScaleLike,
-    exact_budget: int = EXACT_FACTOR_BUDGET,
+    m: BernoulliMeasure, w: Sequence[Sequence[int]], r: ScaleLike
 ) -> RationalLog:
     """Mass of the scale-r approximate cube around the word w.
 
     The cube pins coordinate l for the first k_l(r) positions, and its mass
     is the product over those positions of the one-step conditional
     probabilities p(i_{t,l} | i_{t,1}..i_{t,l-1}).  ``log_value`` sums their
-    logs from the measure's ``log_factors`` table, coordinate by coordinate
-    and position by position; the exact product is formed only while the
-    factor count stays within ``exact_budget`` (0 leaves it out whenever a
-    factor is pinned).
+    logs (``_log_mass``); the exact product is formed only while the factor
+    count stays within ``EXACT_FACTOR_BUDGET``.
     """
-    s = m.sponge
-    ks = scale_exponents(s, r)
-    word = _checked_word(s, w, ks.k[0])
-    log_value = 0.0
-    for table, k in zip(m.log_factors, ks.k):
-        for x in map(table.__getitem__, word[:k]):
-            log_value += x
+    ks = scale_exponents(m.sponge, r).k
+    word = _checked_word(m.sponge, w, ks[0])
     exact = None
-    if sum(ks.k) <= exact_budget:
+    if sum(ks) <= EXACT_FACTOR_BUDGET:
         exact = Fraction(1)
-        for l, k in enumerate(ks.k):
+        for l, k in enumerate(ks):
             for t in word[:k]:
                 exact *= conditional_prob(m, t[:l], t[l])
-    return RationalLog(exact, log_value)
+    return RationalLog(exact, _log_mass(m, word, ks))
+
+
+def _log_mass(m: BernoulliMeasure, word: Sequence[DigitTuple], k: Sequence[int]) -> float:
+    """Log mass of the cube pinning coordinate l of the checked word[:k[l]]: the one
+    sum of ``log_factors``, coordinate by coordinate, then position by position."""
+    log_value = 0.0
+    for table, kl in zip(m.log_factors, k):
+        for x in map(table.__getitem__, word[:kl]):
+            log_value += x
+    return log_value
 
 
 def ball_measure_bounds(

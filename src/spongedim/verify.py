@@ -19,7 +19,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -46,7 +46,7 @@ from .measure import (
     BernoulliMeasure,
     ball_measure_bounds,
     coordinate_uniform,
-    cube_measure,
+    _log_mass,
 )
 from .model import DigitTuple, Sponge, satisfies_vssc
 from .tolerances import _EPS, GROWTH_TOL
@@ -632,8 +632,9 @@ def scan_cube_ratios(
     Draws a random word and a scale pair (R, r) = (n_1^-a, n_1^-b) with
     a < b <= depth, and checks
     n_d^-d (R/r)^lower <= mass(R)/mass(r) <= n_d^d (R/r)^assouad
-    in log space, from the measure's log-factor table.  The samples * depth
-    word entries are admitted (``cubes.admit``) before any word is drawn.
+    in log space, from the measure's log-factor table and the exponents of
+    each scale drawn, computed once.  The samples * depth word entries are
+    admitted (``cubes.admit``) before any word is drawn.
     """
     if not s.strict_bases:
         raise NonStrictBases(
@@ -643,18 +644,15 @@ def scan_cube_ratios(
         raise ScaleOutOfRange("samples and depth must be positive")
     admit(f"{samples} samples at depth {depth}", (samples, depth))
     n1 = s.bases[0]
+    exponents = cache(lambda a: scale_exponents(s, Fraction(1, n1**a)))
 
     def draw(rng: random.Random, digits: list[DigitTuple]) -> _Sample:
         a = rng.randrange(0, depth)
         b = rng.randrange(a + 1, depth + 1)
         word = tuple(rng.choice(digits) for _ in range(b))
-        big = Fraction(1, n1**a)
-        small = Fraction(1, n1**b)
-        log_ratio = (
-            cube_measure(m, word, big, exact_budget=0).log_value
-            - cube_measure(m, word, small, exact_budget=0).log_value
-        )
-        return a, b, word, "", small, big, log_ratio, log_ratio
+        big, small = exponents(a), exponents(b)
+        log_ratio = _log_mass(m, word, big.k) - _log_mass(m, word, small.k)
+        return a, b, word, "", small.scale, big.scale, log_ratio, log_ratio
 
     return _sandwich_scan(
         s, "cube-ratio", samples, seed, 1, _is_coordinate_uniform(s, m), draw

@@ -189,6 +189,37 @@ class TestCount:
         assert rc == 0
         assert "snapped" in err
 
+    @pytest.mark.parametrize("text", ["1e-10", "0.0000000001"])
+    def test_small_decimal_is_never_snapped_to_zero(self, capsys, spec_dir, text):
+        rc, out, err = invoke(
+            capsys, "count", str(spec_dir / "sponge_234.json"), "--scale", text
+        )
+        assert rc == 0
+        assert out == "51200000000000000000000\n"
+        assert err == ""
+
+    def test_small_decimal_grid_step_kept_exact(self, capsys, spec_dir):
+        rc, _, err = invoke(capsys, "doubling", str(spec_dir / "sponge_234.json"),
+                            "--grid", "1e-10", "--max-depth", "2")
+        assert rc == 1
+        assert err.startswith("EnumerationTooLarge: grid step 1/10000000000 ")
+
+    @pytest.mark.parametrize(
+        "lam, label",
+        [("1e-10", "1/10000000000"), ("1/1" + "0" * 400, "1/1" + "0" * 400)],
+        ids=["decimal", "below-float-range"],
+    )
+    def test_family_parameter_near_zero(self, capsys, lam, label):
+        start = time.perf_counter()
+        rc, out, err = invoke(capsys, "family-lg", "--min", lam, "--max", lam,
+                              "--step", "1/2")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 0
+        assert err == ""
+        rows = out.splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith(f"{label},1.0,")
+
     def test_exact_fraction_is_never_snapped(self, capsys, spec_dir):
         rc, out, err = invoke(
             capsys,

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,16 @@ class TestLambdaFamily:
         for bad in (0, Fraction(6, 10), 1, -Fraction(1, 4)):
             with pytest.raises(sd.ScaleOutOfRange):
                 sd.lg_family_dims(bad)
+
+    def test_huge_decimal_exponent_refused_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            sd.lg_family_dims("1e-3000000")
+        assert time.perf_counter() - start < 1.0
+
+    def test_parameter_below_float_range(self):
+        tiny = sd.lg_family_dims(Fraction(1, 10**400))
+        assert tiny[3] == pytest.approx(1 + LOG2 / (400 * math.log(10)), rel=1e-12)
 
     def test_csv_sweep(self):
         text = sd.lg_family_csv(Fraction(1, 10), Fraction(1, 2), Fraction(1, 10))

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import spongedim as sd
 import _oracles as oracle
 from conftest import random_strict_sponge
+from spongedim.measure import EXACT_FACTOR_BUDGET, _log_mass
 
 
 class TestCoordinateUniform:
@@ -58,6 +59,16 @@ class TestMeasureValidation:
                 carpet_23,
                 {(0, 0): Fraction(1, 2), (0, 2): Fraction(1, 2), (1, 1): Fraction(0)},
             )
+
+    def test_huge_decimal_exponent_refused_quickly(self, carpet_24):
+        """Weights decode through as_scale, which bounds the exponent first."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exponent"):
+            sd.BernoulliMeasure(
+                carpet_24,
+                {(0, 1): "1e-2000000", (1, 1): Fraction(1, 2), (1, 3): Fraction(1, 2)},
+            )
+        assert time.perf_counter() - start < 1.0
 
     def test_weights_must_sum_to_one(self, carpet_23):
         with pytest.raises(sd.SpongeError):
@@ -206,9 +217,7 @@ class TestCubeMeasure:
         got = sd.cube_measure(m, word, r)
         assert got.log_value == oracle.log_sum(factors)
         assert got.exact == oracle.brute_cube_measure(m, word, r)
-        log_only = sd.cube_measure(m, word, r, exact_budget=0)
-        assert log_only.log_value == got.log_value
-        assert log_only.exact == (1 if not factors else None)
+        assert _log_mass(m, word, sd.scale_exponents(s, r).k) == got.log_value
 
     def test_factor_below_float_range_has_a_finite_log(self, carpet_24):
         tiny = Fraction(1, 10**400)
@@ -222,8 +231,10 @@ class TestCubeMeasure:
 
     def test_deep_scan_leaves_log_only(self, sponge_234):
         m = sd.coordinate_uniform(sponge_234)
-        word = [(1, 1, 0)] * 200
-        got = sd.cube_measure(m, word, Fraction(1, 2**200), exact_budget=16)
+        word = [(1, 1, 0)] * 400
+        r = Fraction(1, 2**400)
+        assert sum(sd.scale_exponents(sponge_234, r).k) > EXACT_FACTOR_BUDGET
+        got = sd.cube_measure(m, word, r)
         assert got.exact is None
         assert got.log_value < -100
 

@@ -74,6 +74,37 @@ def test_enumeration_refused_in_two_places():
     assert sorted(found) == ["cubes.py:admit", "measure.py:ball_measure_bounds"]
 
 
+def test_text_decoded_only_in_as_scale():
+    """One decode: a one-argument Fraction(x), x not an int literal, is in
+    cubes.as_scale only, where the decimal exponent and digit bounds are."""
+    def decodes(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction"
+            and len(node.args) == 1
+            and not node.keywords
+            and not (
+                isinstance(node.args[0], ast.Constant)
+                and type(node.args[0].value) is int
+            )
+        )
+
+    modules = _modules()
+    [as_scale] = [
+        node for node in modules["cubes.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "as_scale"
+    ]
+    inside = {id(node) for node in ast.walk(as_scale) if decodes(node)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if decodes(node) and id(node) not in inside
+    ]
+    assert inside and found == []
+
+
 def test_no_public_cap_and_no_derived_sponge_field():
     """One enumeration cap, DEFAULT_CAP, and no field the bases already decide."""
     takes_cap = [

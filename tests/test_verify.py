@@ -70,6 +70,19 @@ class TestCubeRatioScan:
         assert lines[0] == "word,r,R,ratio,lower_bound,upper_bound"
         assert len(lines) == 26
 
+    def test_exponents_computed_once_per_scale(self, sponge_234, monkeypatch):
+        scales = []
+
+        def counting(s, r):
+            scales.append(r)
+            return sd.scale_exponents(s, r)
+
+        monkeypatch.setattr(verify, "scale_exponents", counting)
+        m = sd.coordinate_uniform(sponge_234)
+        rep = sd.scan_cube_ratios(sponge_234, m, 200, 5, depth=10)
+        assert len(scales) == len(set(scales))
+        assert set(scales) == {r for row in rep.rows for r in row[2:4]}
+
     @pytest.mark.parametrize(
         "name, seed, samples, depth",
         [("sponge_234", 1, 30, 40), ("sponge_234", 2, 6, 300),
