@@ -14,6 +14,7 @@ per coordinate, which the CSV and SVG exporters format without Fractions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -35,6 +36,8 @@ ScaleLike = Union[Fraction, int, float, str]
 
 DEFAULT_CAP = 10**7
 _MAX_DECIMAL_EXPONENT = 1000
+# 10**digits once per int-to-str digit limit: at 4300 it costs over ten parses
+_power_of_ten = functools.cache(functools.partial(pow, 10))
 
 
 def admit(what: str, factors: Iterable[int]) -> None:
@@ -79,7 +82,7 @@ def as_scale(r: ScaleLike) -> Fraction:
             f"{r!r} is not p/q or a decimal with exponent in +-{_MAX_DECIMAL_EXPONENT}"
         ) from None
     digits = sys.get_int_max_str_digits()
-    if digits and max(abs(value.numerator), value.denominator) >= 10**digits:
+    if digits and max(abs(value.numerator), value.denominator) >= _power_of_ten(digits):
         raise ValueError(f"{r!r} has a numerator or denominator over {digits} digits")
     return value
 

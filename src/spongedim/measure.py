@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import mul
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -192,7 +192,8 @@ def ball_measure_bounds(
     The walk is in integers.  With centre coordinate c_l = a_l/b_l, a box's
     corners at a level are numerators over b_l * n_l^level, and squared
     distances are compared to the radius after multiplying both sides by
-    the squares of those denominators (constants built per level reached).
+    the squares of those denominators (constants derived level by level,
+    each from the one before by exact integer products).
     Masses are numerators over Q^level, Q the lcm of the weight
     denominators; the two brackets become fractions once, at the end.
     """
@@ -212,18 +213,15 @@ def ball_measure_bounds(
     for t in s.digits:
         w = m.weights[t]
         children.append((tuple(map(mul, cb, t)), w.numerator * (q_mass // w.denominator)))
-    # per level reached: centre numerators, distance weights, radius term,
+    # per level reached: centre numerators, distance weights and radius term,
     # and the mass numerators that level adds to each bracket
-    levels: list[tuple[list[int], list[int], int]] = []
-    lower: list[int] = []
-    upper: list[int] = []
-
-    def level_constants(level: int) -> tuple[list[int], list[int], int]:
-        dens = [b * n**level for b, n in zip(cb, s.bases)]
-        total = math.prod(dn * dn for dn in dens)
-        weights = [total // (dn * dn) * rad.denominator**2 for dn in dens]
-        xs = [x.numerator * n**level for x, n in zip(c, s.bases)]
-        return xs, weights, total * rad.numerator**2
+    total = math.prod(b * b for b in cb)
+    levels = [([x.numerator for x in c], [total // (b * b) * rad.denominator**2 for b in cb],
+               total * rad.numerator**2)]
+    growth = math.prod(n * n for n in s.bases)
+    weight_growth = [growth // (n * n) for n in s.bases]
+    lower, upper = [0], [0]
+    positive = rad.numerator > 0
 
     visited = 0
     cap = DEFAULT_CAP  # a local, read once per node below
@@ -235,7 +233,9 @@ def ball_measure_bounds(
         if visited > cap:
             raise EnumerationTooLarge(f"ball bracket enumeration exceeded cap {cap}")
         if level == len(levels):
-            levels.append(level_constants(level))
+            xs, weights, r2 = levels[-1]
+            levels.append((list(map(mul, xs, s.bases)),
+                           list(map(mul, weights, weight_growth)), r2 * growth))
             lower.append(0)
             upper.append(0)
         xs, weights, r2 = levels[level]
@@ -251,19 +251,19 @@ def ball_measure_bounds(
                 near, far = 0, max(x - lo, hi - x)
             min_sq += near * near * wt
             max_sq += far * far * wt
-        meets_ball = min_sq < r2 if rad > 0 else min_sq == 0
+        meets_ball = min_sq < r2 if positive else min_sq == 0
         if not meets_ball:
             continue
-        if rad > 0 and max_sq <= r2:
+        if positive and max_sq <= r2:
             lower[level] += mass
             upper[level] += mass
             continue
         if level == depth:
             upper[level] += mass
             continue
+        scaled = tuple(map(mul, corners, s.bases))
         for offsets, weight in children:
-            child = tuple(lo * n + o for lo, n, o in zip(corners, s.bases, offsets))
-            stack.append((level + 1, child, mass * weight))
+            stack.append((level + 1, tuple(map(add, scaled, offsets)), mass * weight))
 
     # over Q^deepest level reached, not Q^depth: the walk may stop early
     den = q_mass ** (len(levels) - 1)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import spongedim as sd
 import _oracles as oracle
-from spongedim.cubes import DEFAULT_CAP, admit
+from spongedim.cubes import DEFAULT_CAP, admit, as_scale
 from conftest import random_strict_sponge
 
 
@@ -24,6 +25,22 @@ class TestScaleExponents:
         for text in ("1e-1001", "1E+1001", "1e-1_000_000_000"):
             with pytest.raises(ValueError, match="exponent"):
                 sd.scale_exponents(carpet_24, text)
+
+    def test_digit_bound_follows_the_int_str_limit(self):
+        """The refusal boundary is 10**limit for the limit in force at the call,
+        also when the limit goes back to a value already used."""
+        old = sys.get_int_max_str_digits()
+        try:
+            for limit in (700, 640, 700):
+                sys.set_int_max_str_digits(limit)
+                assert as_scale("9" * limit) == 10**limit - 1
+                assert as_scale(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+                for text in (f"1e{limit}", f"1e-{limit}"):
+                    with pytest.raises(ValueError, match=f"over {limit} digits"):
+                        as_scale(text)
+            assert as_scale("1e640") == 10**640
+        finally:
+            sys.set_int_max_str_digits(old)
 
     def test_quarter(self, sponge_234):
         assert sd.scale_exponents(sponge_234, Fraction(1, 4)).k == (2, 1, 1)

@@ -13,6 +13,7 @@ import spongedim as sd
 import _oracles as oracle
 from conftest import random_strict_sponge
 from spongedim.measure import EXACT_FACTOR_BUDGET, _log_mass
+from spongedim.verify import _tau_point
 
 
 class TestCoordinateUniform:
@@ -321,6 +322,52 @@ class TestBallBrackets:
             assert got == oracle.ball_measure_bounds(m, center, Fraction(5, 12), depth)
         # the four level-1 boxes at the centre lie in the closed ball
         assert got[0].exact >= Fraction(4, 12)
+
+    def test_scan_depth_brackets_equal_fraction_oracle(self, carpet_vssc):
+        """The brackets ball-scan draws, at its depths, plus closed-ball ties
+        at levels 8-12: each level's constants come from the one before, to
+        depth 15 and, last, to depth 240."""
+        m = sd.coordinate_uniform(carpet_vssc)
+        rng = random.Random(18)
+        cases = []
+        for _ in range(60):
+            a = rng.randrange(0, 11)
+            b = rng.randrange(a + 1, 12)
+            word = [rng.choice(carpet_vssc.digits) for _ in range(12)]
+            center = _tau_point(carpet_vssc, word, rng.choice(carpet_vssc.digits))
+            cases += [(center, Fraction(1, 2 * 3**a), b + 3),
+                      (center, Fraction(1, 2 * 3**b), b + 3)]
+        # a level-L box's far corner at exactly 5/(3 * 3^L) = 5 eps from the
+        # centre, (dx, dy) = (3 eps, 4 eps): a closed-ball tie at levels 8-12
+        for level in range(8, 13):
+            word = [rng.choice(carpet_vssc.digits) for _ in range(level)]
+            x, y = _tau_point(carpet_vssc, word, (0, 0))
+            center = (x, y + Fraction(1, 4**level) - Fraction(4, 3 ** (level + 1)))
+            cases.append((center, Fraction(5, 3 ** (level + 1)), level + 3))
+        cases.append((cases[0][0], 0, 15))
+        # corners over 3^240 and 4^240: the integers are far past 2^53
+        deep = [rng.choice(carpet_vssc.digits) for _ in range(240)]
+        center = _tau_point(carpet_vssc, deep, carpet_vssc.digits[1])
+        cases.append((center, Fraction(1, 2 * 3**236), 240))
+        for center, radius, depth in cases:
+            got = sd.ball_measure_bounds(m, center, radius, depth)
+            assert got == oracle.ball_measure_bounds(m, center, radius, depth)
+        assert cases[-1][2] > 200 and got[0].exact > 0
+
+    def test_node_guard_fires_one_node_past_the_walk(self, carpet_vssc, monkeypatch):
+        """A scan-shaped bracket visits 29 nodes: a cap of 29 lets it finish,
+        a cap of 28 stops it at the 29th."""
+        m = sd.coordinate_uniform(carpet_vssc)
+        word = [(2, 3) if c == "1" else (0, 0) for c in "000000010110"]
+        center = _tau_point(carpet_vssc, word, (0, 0))
+        args = (m, center, Fraction(1, 2 * 3**6), 14)
+        monkeypatch.setattr("spongedim.measure.DEFAULT_CAP", 29)
+        assert sd.ball_measure_bounds(*args) == oracle.ball_measure_bounds(*args)
+        monkeypatch.setattr("spongedim.measure.DEFAULT_CAP", 28)
+        with pytest.raises(
+            sd.EnumerationTooLarge, match="^ball bracket enumeration exceeded cap 28$"
+        ):
+            sd.ball_measure_bounds(*args)
 
 
 def _random_measure(rng: random.Random, s: sd.Sponge) -> sd.BernoulliMeasure:
