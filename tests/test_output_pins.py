@@ -57,6 +57,12 @@ CASES = {
     "doubling-grid": (
         ["doubling", "@carpet_24", "--grid", "1/8", "--max-depth", "11"], ()
     ),
+    # the deepest depth the cube-count cap admits on sponge_234
+    "doubling-deep": (
+        ["doubling", "@sponge_234", "--measure", "{tmp}/skew.json",
+         "--max-depth", "10"],
+        (),
+    ),
     "tangent-max": (
         ["tangent", "@sponge_234", "--scale", "1/16", "--mode", "max",
          "--level", "6", "--emit-boxes", "{tmp}/cover.csv"],
@@ -104,6 +110,11 @@ PINS = {
     "dims-344": {
         "exit": 0,
         "stdout": "af24120406d0ff0b0e21baaa73592d18321f189475395a3f8a515a1190f2ff95",
+        "files": {},
+    },
+    "doubling-deep": {
+        "exit": 0,
+        "stdout": "5e8b0113d6c51a1f1447606f95ed7888dc10513ab52d255bd1fe56b261325ca6",
         "files": {},
     },
     "doubling-grid": {
