@@ -758,13 +758,14 @@ class DoublingReport:
     window_start: int | None
 
 
-def _moves(level_set: Sequence[tuple[int, ...]], l: int, n: int):
-    """Tuple pairs (p, q) of one position, q one step up from p in coordinate l.
+def _moves(s: Sponge, w: int, l: int):
+    """Tuple pairs (p, q) of ``level_sets[w]``, q one step up from p in coordinate l.
 
     ``steps`` pair a tuple whose l-digit c is below n - 1 with the same tuple
     at c + 1; ``wraps`` pair a tuple at n - 1 with the same tuple at 0.  Only
-    pairs whose both tuples are in ``level_set`` are kept.
+    pairs whose both tuples are in the level set are kept.
     """
+    level_set, n = s.level_sets[w], s.bases[l]
     members = set(level_set)
     steps: list[tuple[DigitTuple, DigitTuple]] = []
     wraps: list[tuple[DigitTuple, DigitTuple]] = []
@@ -775,58 +776,50 @@ def _moves(level_set: Sequence[tuple[int, ...]], l: int, n: int):
     return steps, wraps
 
 
+def _largest(quotients: list[tuple]) -> tuple | None:
+    """The first (num, den, ...) of ``quotients`` with the largest num/den."""
+    best = None
+    for q in quotients:
+        if best is None or q[0] * best[1] > best[0] * q[1]:
+            best = q
+    return best
+
+
 class _DepthPlan:
-    """Adjacent cube pairs at one depth, grouped by their middles.
+    """The moves that pair adjacent cubes at one depth, for any measure.
 
-    Nothing here reads a measure, and the plan holds nothing per cube.
-    Position t of a word picks a tuple of L_t, the level set of the
-    coordinates it pins, and a cube's mass is the product over positions
-    of its tuples' prefix masses.
-
-    The neighbour one step up in coordinate l (pinned at positions
-    t < k_l) adds one to the l-digit of the last position j < k_l whose
-    l-digit is below n_l - 1, wraps the l-digits of positions j+1..k_l-1
-    from n_l - 1 to 0, and changes nothing else; every moved tuple must be
-    in its L_t.  So each j and each choice of those moves (a "middle")
-    pairs a lower and an upper cube for every choice of the free positions,
-    before j and from k_l on, and all those pairs have the same mass ratio:
-    the product of the prefix-mass ratios at positions j..k_l-1.
-    ``middles`` holds (l, lower, upper): the tuples of positions j..k_l-1
-    before and after the step.  ``least[t]`` is the least tuple of L_t.
+    Position t of a word picks a tuple of L_t, the level set of its first
+    ``widths[t]`` coordinates.  The neighbour one step up in coordinate l
+    steps the l-digit up at the last position j < k_l where it is below
+    n_l - 1, wraps it from n_l - 1 to 0 at j+1..k_l-1, and moves nothing
+    else, each moved tuple staying in its L_t; ``moves[w, l]`` holds these
+    ``_moves`` on the L of width w.
     """
 
     def __init__(self, s: Sponge, k: int) -> None:
         r = Fraction(1, s.bases[0] ** k)
         count = count_cubes(s, r)
         admit(f"depth {k} needs {count} cubes", [count])
-        ks = scale_exponents(s, r).k
-        self.ks = ks
+        self.ks = ks = scale_exponents(s, r).k
         self.bases = s.bases
-        sets = [s.level_sets[_column_width(ks, t)] for t in range(1, ks[0] + 1)]
+        self.widths = [_column_width(ks, t) for t in range(1, ks[0] + 1)]
+        sets = [s.level_sets[w] for w in self.widths]
         self.least = [min(level_set) for level_set in sets]
-        self.middles: list[tuple[int, tuple, tuple]] = []
+        self.moves = {(w, l): _moves(s, w, l) for w in set(self.widths) for l in range(w)}
         self.pair_count = 0
-        for l, (n, kl) in enumerate(zip(s.bases, ks)):
-            # (lower, upper) of the wraps at positions j+1..kl-1
-            tail = [((), ())]
+        for l, kl in enumerate(ks):
+            tail = 1  # wrap choices at positions j+1..kl-1
             for j in range(kl - 1, -1, -1):
-                steps, wraps = _moves(sets[j], l, n)
-                free = [len(sets[t]) for t in range(len(sets)) if t < j or t >= kl]
-                self.pair_count += len(steps) * len(tail) * math.prod(free)
-                self.middles += [
-                    (l, (p, *lo), (q, *up)) for p, q in steps for lo, up in tail
-                ]
-                tail = [((p, *lo), (q, *up)) for p, q in wraps for lo, up in tail]
-                if not tail:
-                    break
+                steps, wraps = self.moves[self.widths[j], l]
+                free = math.prod(map(len, sets[:j] + sets[kl:]))
+                self.pair_count += len(steps) * tail * free
+                tail *= len(wraps)
 
     def least_lower(self, l: int, lower: tuple) -> tuple[int, ...]:
-        """Grid coordinates of the least lower cube of the middle (l, lower, _).
-
-        Its word has ``least[t]`` at every free position: grid coordinates
-        add over positions, lexicographic order is kept under addition, and
-        one position's term orders like its tuple.  Coordinate i reads the
-        word's i-digits at positions t < k_i in base n_i.
+        """Grid coordinates of the least cube with ``lower`` at positions
+        k_l - len(lower)..k_l-1: it has L_t's least tuple at every other t,
+        as grid coordinates add over positions, lexicographic order is kept
+        under addition, and one position's term orders like its tuple.
         """
         kl = self.ks[l]
         word = [*self.least[: kl - len(lower)], *lower, *self.least[kl:]]
@@ -838,30 +831,40 @@ class _DepthPlan:
     def max_ratio_row(self, depth: int, m: BernoulliMeasure) -> DepthRatioRow:
         """The row of one measure: its largest adjacent mass ratio and witness.
 
-        A pair's ratio is the larger of its two quotients, so the maximum is
-        the largest such ratio over the middles, exact.  The witness is the
-        pair with the smallest (lower cube, coordinate) among the middles
-        whose ratio equals it.  A maximum above the float range raises
-        ZeroMeasure.
+        A pair's ratio is the larger of its lower-over-upper mass quotient
+        (direction 1) and its inverse, a product of independently chosen
+        prefix-mass quotients, one per moved position.  So per (l, j,
+        direction) the largest takes each position's largest, and its least
+        pair each position's least lower tuple among ties.  A maximum above
+        the float range raises ZeroMeasure.
         """
-        if not self.middles:
+        if not self.pair_count:
             return DepthRatioRow(depth, 0, None, None)
-        ratios = []
-        for _, lower, upper in self.middles:
-            num = den = 1
-            for p, q in zip(lower, upper):
-                a, b = m.prefix_mass(p), m.prefix_mass(q)
-                num *= a.numerator * b.denominator
-                den *= a.denominator * b.numerator
-            ratios.append(Fraction(max(num, den), min(num, den)))
-        best = max(ratios)
+        # (w, l, steps or wraps, direction) -> the largest (num, den, lower)
+        # quotient; moves run in order of their lower tuple
+        extreme, mass = {}, m.prefix_mass
+        for (w, l), pair in self.moves.items():
+            for i, moves in enumerate(pair):
+                up = [(*(mass(p) / mass(q)).as_integer_ratio(), p) for p, q in moves]
+                extreme[w, l, i, 1] = _largest(up)
+                extreme[w, l, i, -1] = _largest([(d, n, p) for n, d, p in up])
+        found = []
+        for l, kl in enumerate(self.ks):
+            for e in (1, -1):
+                num, den, lows = 1, 1, ()
+                for w in reversed(self.widths[:kl]):
+                    step, wrap = extreme[w, l, 0, e], extreme[w, l, 1, e]
+                    if step:
+                        found.append((step[0] * num, step[1] * den, l, (step[2], *lows)))
+                    if not wrap:
+                        break
+                    num, den, lows = wrap[0] * num, wrap[1] * den, (wrap[2], *lows)
+        num, den, _, _ = _largest(found)
         lower, l = min(
-            (self.least_lower(l, lower), l)
-            for ratio, (l, lower, _) in zip(ratios, self.middles)
-            if ratio == best
+            (self.least_lower(l, lows), l) for n, d, l, lows in found if n * den == num * d
         )
         try:
-            top = float(best)
+            top = num / den
         except OverflowError:
             raise ZeroMeasure(
                 f"the largest adjacent mass ratio at depth {depth} exceeds the "
@@ -894,16 +897,13 @@ def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingR
     covering boxes share a (d-1)-dimensional face, i.e. the integer grid
     coordinates differ by one in exactly one coordinate.
 
-    The adjacent pairs of a depth are grouped by their middles, the moved
-    word positions that fix a pair's mass ratio (see ``_DepthPlan``).  The
-    plans of all depths are built, and checked against the cap, before any
-    row; they hold middles, not cubes, read no measure, and are kept for the
-    next call with the same sponge and depth, so a weight-grid sweep plans
-    once.  Each middle's ratio is computed exactly, and ``max_ratio`` is the
-    exact maximum, correctly rounded to a float.  The witness is the first
-    pair, in lexicographic order of the lower cube's grid coordinates and
-    then the coordinate of the step, whose ratio equals the maximum exactly,
-    so exact ties are never broken by rounding.
+    The plans of all depths (``_DepthPlan``, which read no measure) are
+    built, and checked against the cap, before any row, and kept for the
+    next call with the same sponge and depth, so a sweep plans once.
+    ``max_ratio`` is the exact maximum, correctly rounded to a float.  The
+    witness is the first pair, in lexicographic order of the lower cube's
+    grid coordinates and then the coordinate of the step, whose ratio
+    equals the maximum exactly, so exact ties are never broken by rounding.
 
     The growth rate is fitted over buckets of depths sharing the
     finest-coordinate refinement count, using each bucket's maximum ratio;

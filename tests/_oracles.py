@@ -703,3 +703,65 @@ def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int):
     non_doubling = growth > 1 + 1e-6 and window is not None
     verdict = "NonDoublingCertificate" if non_doubling else "DoublingUpToDepth"
     return rows, growth, verdict, window if non_doubling else None
+
+
+def log_ratio_extremes(s: Sponge, m: BernoulliMeasure, depth: int) -> dict:
+    """{(a, b): (least, largest)} of log mass(Q_R) - log mass(Q_r) over all words,
+    for every scale pair (R, r) = (n_1^-a, n_1^-b) with 0 <= a < b <= depth.
+
+    Position t of a word is pinned by the depth-c cube in its first w_c(t)
+    coordinates, those l with k_l(c) > t, so the pair's log ratio adds
+    log prefix_mass(x[:u]) - log prefix_mass(x[:v]) for the digit x at t,
+    with [u, v) = [w_a(t), w_b(t)), and positions choose their digits
+    independently: each extreme over all words is the sum over t of the
+    extreme over digits for t's coordinate range.  The digit reaching a
+    range's extreme is chosen by exact ``Fraction`` comparison; its log and
+    the sums over t, read from prefix sums over t per (b, u), are floats.
+    """
+    from operator import add, sub
+
+    d, n1 = s.d, s.bases[0]
+    ks = [scale_exponents(s, Fraction(1, n1**c)).k for c in range(depth + 1)]
+    # per side, table[u][v]: the range [u, v)'s extreme over digits; entries
+    # with v < u are summed into prefixes below but never read out
+    tables = [
+        [
+            [math.log(pick(m.prefix_mass(x[:u]) / m.prefix_mass(x[:v]) for x in s.digits))
+             for v in range(d + 1)]
+            for u in range(d + 1)
+        ]
+        for pick in (min, max)
+    ]
+    # w_c(t) = u exactly for bounds[u + 1][c] <= t < bounds[u][c], where
+    # bounds[u + 1] reads k_u and bounds[0] is the word length b, set per b
+    bounds = [None, *map(list, zip(*ks)), [0] * (depth + 1)]
+    out = {}
+    for b in range(1, depth + 1):
+        bounds[0] = [b] * (depth + 1)
+        widths = [u for u in range(d, -1, -1) for _ in range(bounds[u + 1][b], bounds[u][b])]
+        sides = []
+        for table in tables:
+            total = [0.0] * b
+            for u in range(d + 1):
+                prefix = [0.0, *itertools.accumulate(map(table[u].__getitem__, widths))]
+                hi = map(prefix.__getitem__, bounds[u][:b])
+                lo = map(prefix.__getitem__, bounds[u + 1][:b])
+                total = list(map(add, total, map(sub, hi, lo)))
+            sides.append(total)
+        out.update(zip([(a, b) for a in range(b)], zip(*sides)))
+    return out
+
+
+def sandwich_worst_slacks(s: Sponge, m: BernoulliMeasure, depth: int):
+    """(lower, upper) worst log slacks of the cube sandwich over all words and
+    all scale pairs a < b <= depth, from ``log_ratio_extremes``, with the
+    constants and exponents of ``scan_cube_ratios``."""
+    from spongedim import assouad_dim, lower_dim
+
+    log_nd_d = s.d * math.log(s.bases[-1])
+    log_n1 = math.log(s.bases[0])
+    dim_lo, dim_hi = lower_dim(s), assouad_dim(s)
+    extremes = log_ratio_extremes(s, m, depth).items()
+    lower = min(lo + log_nd_d - dim_lo * (b - a) * log_n1 for (a, b), (lo, _) in extremes)
+    upper = min(log_nd_d + dim_hi * (b - a) * log_n1 - hi for (a, b), (_, hi) in extremes)
+    return lower, upper

@@ -1,5 +1,6 @@
 """Scans, doubling detection, tangent construction, and the report emitter."""
 
+import functools
 import itertools
 import json
 import math
@@ -95,6 +96,58 @@ class TestCubeRatioScan:
         for m in (sd.coordinate_uniform(s), grid_vector):
             got = sd.scan_cube_ratios(s, m, samples, seed, depth)
             assert repr(got) == repr(oracle.scan_cube_ratios(s, m, samples, seed, depth))
+
+    @staticmethod
+    def _random_weights(s, seed):
+        rng = random.Random(seed)
+        digits = sorted(s.digits)
+        ints = [rng.randint(1, 20) for _ in digits]
+        return sd.BernoulliMeasure(s, {t: Fraction(a, sum(ints)) for t, a in zip(digits, ints)})
+
+    @pytest.mark.parametrize("name", ["carpet_24", "sponge_234"])
+    def test_all_words_extremes_match_enumeration(self, spec_dir, name):
+        """The per-position extremes equal the extremes over every word."""
+        s = sd.load_sponge(spec_dir / f"{name}.json")
+        m = self._random_weights(s, 3)
+
+        @functools.cache
+        def mass(word):
+            return oracle.brute_cube_measure(m, word, Fraction(1, s.bases[0] ** len(word)))
+
+        for (a, b), (lo, hi) in oracle.log_ratio_extremes(s, m, 3).items():
+            logs = [
+                math.log(mass(word[:a]) / mass(word))
+                for word in itertools.product(s.digits, repeat=b)
+            ]
+            assert (lo, hi) == pytest.approx((min(logs), max(logs)), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["carpet_24", "sponge_234", "carpet_vssc", "full_grid_234"])
+    def test_scan_slacks_bounded_by_all_words_extremes(self, request, name):
+        """No seeded sample's log ratio leaves its scale pair's extremes over all
+        words, so no worst slack is below the exact one, under coordinate-uniform
+        and random weights.  On the product digit set of ``full_grid_234`` every
+        word reaches both uniform extremes, so there each sample must equal them."""
+        s = request.getfixturevalue(name)
+        n1 = s.bases[0]
+        for m in (sd.coordinate_uniform(s), self._random_weights(s, 3)):
+            extremes = oracle.log_ratio_extremes(s, m, 60)
+            lower, upper = oracle.sandwich_worst_slacks(s, m, 60)
+            for seed in (1, 2, 3):
+                rep = sd.scan_cube_ratios(s, m, 200, seed, 60)
+                assert rep.worst_lower_slack >= lower - verify._EPS
+                assert rep.worst_upper_slack >= upper - verify._EPS
+                for word, _, _, big, ratio, _, _ in rep.rows:
+                    a = next(a for a in range(len(word)) if n1**a == big.denominator)
+                    lo, hi = extremes[a, len(word)]
+                    assert lo - verify._EPS <= math.log(ratio) <= hi + verify._EPS
+
+    @pytest.mark.parametrize("name", ["carpet_24", "sponge_234", "carpet_vssc_34"])
+    def test_uniform_sandwich_holds_for_all_words(self, spec_dir, name):
+        """The sandwich holds for every word and every a < b <= 300 under the
+        coordinate-uniform measure, not only for the sampled ones."""
+        s = sd.load_sponge(spec_dir / f"{name}.json")
+        lower, upper = oracle.sandwich_worst_slacks(s, sd.coordinate_uniform(s), 300)
+        assert lower >= 0 and upper >= 0
 
 
 class TestBallRatioScan:
@@ -231,43 +284,47 @@ class TestDoubling:
     @pytest.mark.parametrize("d", [2, 3])
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**5), max_depth=st.integers(1, 4))
-    def test_plan_middles_are_the_face_sharing_pairs(self, d, seed, max_depth):
-        """Middles, expanded over every prefix and suffix, are each face-sharing
-        pair once, and ``least_lower`` is a middle's least lower cube.
+    def test_plan_rows_are_the_face_sharing_pairs_maximum(self, d, seed, max_depth):
+        """The plan counts every face-sharing pair once, and its row is their
+        largest exact mass ratio, witnessed by the least (lower cube,
+        coordinate) reaching it, under coordinate-uniform and random weights.
 
         Bases are strictly increasing, so depth 1 leaves every coordinate
         but the first unpinned (k_l = 0), and deeper depths often leave the
-        last ones unpinned too.
+        last ones unpinned too.  Weights from 1..3 make exact ties common.
         """
         rng = random.Random(seed)
         s = random_strict_sponge(rng, max_d=d, max_base=5, max_digits=8)
         while s.d != d:
             s = random_strict_sponge(rng, max_d=d, max_base=5, max_digits=8)
+        digits = sorted(s.digits)
+        ints = [rng.randint(1, 3) for _ in digits]
+        measures = [
+            sd.coordinate_uniform(s),
+            sd.BernoulliMeasure(s, {t: Fraction(a, sum(ints)) for t, a in zip(digits, ints)}),
+        ]
         for k in range(1, max_depth + 1):
             if sd.count_cubes(s, Fraction(1, s.bases[0] ** k)) > 300:
                 break
             plan = _DepthPlan(s, k)
-            ks = plan.ks
-            sets = [s.level_sets[sum(v >= t for v in ks)] for t in range(1, ks[0] + 1)]
-
-            def grid(word):
-                return tuple(
-                    sum(word[t][l] * n ** (kl - 1 - t) for t in range(kl))
-                    for l, (n, kl) in enumerate(zip(s.bases, ks))
+            pairs = oracle.adjacent_pairs(s, k)
+            assert plan.pair_count == len(pairs)
+            for m in measures:
+                row = plan.max_ratio_row(k, m)
+                if not pairs:
+                    assert (row.max_ratio, row.witness) == (None, None)
+                    continue
+                masses = oracle.depth_cube_masses(s, m, k)
+                ratios = {
+                    (lo, up): max(masses[lo] / masses[up], masses[up] / masses[lo])
+                    for lo, up in pairs
+                }
+                best = max(ratios.values())
+                witness = min(
+                    (pair for pair, ratio in ratios.items() if ratio == best),
+                    key=lambda pair: (pair[0], [x != y for x, y in zip(*pair)].index(True)),
                 )
-
-            pairs = []
-            for l, lower, upper in plan.middles:
-                j = ks[l] - len(lower)
-                expanded = [
-                    (grid(prefix + lower + suffix), grid(prefix + upper + suffix))
-                    for prefix in itertools.product(*sets[:j])
-                    for suffix in itertools.product(*sets[ks[l]:])
-                ]
-                assert plan.least_lower(l, lower) == min(expanded)[0]
-                pairs += expanded
-            assert len(pairs) == plan.pair_count
-            assert sorted(pairs) == sorted(oracle.adjacent_pairs(s, k))
+                assert (row.max_ratio, row.witness) == (float(best), witness)
 
     def test_a_sweep_plans_each_depth_once(self, carpet_24, monkeypatch):
         builds = []
