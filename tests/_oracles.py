@@ -716,7 +716,8 @@ def log_ratio_extremes(s: Sponge, m: BernoulliMeasure, depth: int) -> dict:
     independently: each extreme over all words is the sum over t of the
     extreme over digits for t's coordinate range.  The digit reaching a
     range's extreme is chosen by exact ``Fraction`` comparison; its log and
-    the sums over t, read from prefix sums over t per (b, u), are floats.
+    the sums over t, read from prefix sums over t per (b, u), are floats, so
+    an extreme carries the rounding of about 2 * depth float additions.
     """
     from operator import add, sub
 
