@@ -557,6 +557,21 @@ def _word_label(word: Sequence[Sequence[int]]) -> str:
     return ";".join(",".join(str(e) for e in t) for t in word)
 
 
+def _draw_digits(rng: random.Random, digits: list[DigitTuple], count: int) -> tuple:
+    """``count`` calls of ``rng.choice(digits)``, run as CPython 3.10-3.12 run
+    them (``Random._randbelow_with_getrandbits``), so the stream is the same."""
+    n = len(digits)
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    drawn = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        drawn.append(digits[r])
+    return tuple(drawn)
+
+
 _Sample = tuple[int, int, tuple[DigitTuple, ...], str, Fraction, Fraction, float, float]
 
 
@@ -649,7 +664,7 @@ def scan_cube_ratios(
     def draw(rng: random.Random, digits: list[DigitTuple]) -> _Sample:
         a = rng.randrange(0, depth)
         b = rng.randrange(a + 1, depth + 1)
-        word = tuple(rng.choice(digits) for _ in range(b))
+        word = _draw_digits(rng, digits, b)
         big, small = exponents(a), exponents(b)
         log_ratio = _log_mass(m, word, big.k) - _log_mass(m, word, small.k)
         return a, b, word, "", small.scale, big.scale, log_ratio, log_ratio
@@ -706,8 +721,8 @@ def scan_ball_ratios_vssc(
     def draw(rng: random.Random, digits: list[DigitTuple]) -> _Sample:
         a = rng.randrange(0, depth - 1)
         b = rng.randrange(a + 1, depth)
-        word = tuple(rng.choice(digits) for _ in range(depth))
-        tail = rng.choice(digits)
+        drawn = _draw_digits(rng, digits, depth + 1)
+        word, tail = drawn[:depth], drawn[depth]
         center = _tau_point(s, word, tail)
         big = Fraction(1, 2 * n1**a)
         small = Fraction(1, 2 * n1**b)
