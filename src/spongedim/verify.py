@@ -558,8 +558,8 @@ def _word_label(word: Sequence[Sequence[int]]) -> str:
 
 
 def _draw_digits(rng: random.Random, digits: list[DigitTuple], count: int) -> tuple:
-    """``count`` calls of ``rng.choice(digits)``, run as CPython 3.10-3.12 run
-    them (``Random._randbelow_with_getrandbits``), so the stream is the same."""
+    """What ``count`` calls of ``rng.choice(digits)`` return, drawn by the same
+    ``getrandbits`` rejection loop as CPython 3.10-3.12, minus the call overhead."""
     n = len(digits)
     k = n.bit_length()
     getrandbits = rng.getrandbits

@@ -189,6 +189,42 @@ class TestBallRatioScan:
         b = report_to_json(sd.scan_ball_ratios_vssc(carpet_vssc, 20, 5, depth=5))
         assert a == b
 
+    @pytest.mark.parametrize("depth", [2, 8, 12])
+    def test_samples_replay_the_choice_draws(self, carpet_vssc, depth):
+        """Each sample draws a, b, the depth word digits and the tail digit, in
+        that order, as ``randrange`` and ``rng.choice`` would."""
+        three = sd.validate_sponge((3, 5), [(0, 0), (0, 4), (2, 2)])
+        for s in (carpet_vssc, three):
+            digits = sorted(s.digit_set)
+            n1 = s.bases[0]
+            for seed in range(5):
+                rng = random.Random(seed)
+                expected = []
+                for _ in range(20):
+                    a = rng.randrange(0, depth - 1)
+                    b = rng.randrange(a + 1, depth)
+                    word = tuple(rng.choice(digits) for _ in range(depth))
+                    tail = rng.choice(digits)
+                    small, big = Fraction(1, 2 * n1**b), Fraction(1, 2 * n1**a)
+                    expected.append((word, "|" + ",".join(map(str, tail)), small, big))
+                rep = sd.scan_ball_ratios_vssc(s, 20, seed, depth)
+                assert [row[:4] for row in rep.rows] == expected
+
+
+class TestDrawDigits:
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_same_stream_as_choice(self, n):
+        """A word equals as many ``rng.choice`` calls and leaves the generator
+        in the same state, so a Python whose ``choice`` draws differently fails
+        here rather than silently moving seeded scan output."""
+        digits = [(i, n - i) for i in range(n)]
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for count in (1, 5, 40, 300):
+                word = verify._draw_digits(ours, digits, count)
+                assert word == tuple(theirs.choice(digits) for _ in range(count))
+                assert ours.random() == theirs.random()
+
 
 class TestDoubling:
     def test_flat_weights_blow_up_geometrically(self, carpet_24):
