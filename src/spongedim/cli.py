@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .errors import SpongeError
 from .cubes import (
-    _check_planar, as_scale, boxes_to_csv, boxes_to_svg, count_cubes, prefractal,
+    _check_planar, _csv_chunks, _prefractal_blocks, _svg_chunks, as_scale, count_cubes,
 )
-from .dims import dim_report, lg_family_csv
+from .dims import _lg_family_rows, dim_report
 from .measure import (
     coordinate_uniform,
     cube_measure,
@@ -242,13 +242,13 @@ def _cmd_tangent(args: argparse.Namespace) -> int:
     if args.emit_boxes:
         boxes = tangent_image(s, args.scale, mode, args.level)
         with open(args.emit_boxes, "w", encoding="utf-8") as fh:
-            fh.write(boxes_to_csv(boxes))
+            fh.writelines(_csv_chunks(boxes.dens, [boxes.columns]))
         print(f"wrote {len(boxes)} boxes to {args.emit_boxes}", file=sys.stderr)
     return 0
 
 
 def _cmd_family_lg(args: argparse.Namespace) -> int:
-    sys.stdout.write(lg_family_csv(args.min, args.max, args.step))
+    sys.stdout.writelines(_lg_family_rows(args.min, args.max, args.step))
     return 0
 
 
@@ -256,16 +256,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
     if args.out.endswith(".svg"):
         _check_planar(s.d)
-        export = boxes_to_svg
+        chunks = _svg_chunks
     elif args.out.endswith(".csv"):
-        export = boxes_to_csv
+        chunks = _csv_chunks
     else:
         print("error: --out must end in .svg or .csv", file=sys.stderr)
         return 2
-    boxes = prefractal(s, args.level)
+    dens, blocks = _prefractal_blocks(s, args.level)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export(boxes))
-    print(f"wrote {len(boxes)} boxes to {args.out}", file=sys.stderr)
+        fh.writelines(chunks(dens, blocks))
+    print(f"wrote {len(s.digits) ** args.level} boxes to {args.out}", file=sys.stderr)
     return 0
 
 

@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     DigitOutOfRange,
@@ -35,6 +35,7 @@ from .model import DigitTuple, Prefix, Sponge
 ScaleLike = Union[Fraction, int, float, str]
 
 DEFAULT_CAP = 10**7
+_BLOCK_BOXES = 4096  # boxes per block of a pre-fractal written as it is enumerated
 _MAX_DECIMAL_EXPONENT = 1000
 # 10**digits once per int-to-str digit limit: at 4300 it costs over ten parses
 _power_of_ten = functools.cache(functools.partial(pow, 10))
@@ -253,20 +254,34 @@ def lattice_column(base: int, positions: Iterable[Sequence[int]]) -> list[int]:
     return values
 
 
+def _prefractal_blocks(s: Sponge, level: int) -> tuple[tuple[int, ...], Iterator[tuple]]:
+    """Denominators of the level-m cover, and its columns one block at a time.
+
+    A block holds the words with one prefix, in word order; its suffix has j
+    positions, j the largest with |D|^j <= _BLOCK_BOXES, so coordinate l reads
+    head * n_l^j + v over the suffix column v.  The level is admitted at the call.
+    """
+    if level < 0:
+        raise ScaleOutOfRange(f"pre-fractal level must be >= 0, got {level}")
+    admit(f"{len(s.digits)}^{level} boxes", itertools.repeat(len(s.digits), level))
+    j = next(k for k in range(level, -1, -1) if len(s.digits) ** k <= _BLOCK_BOXES)
+    digits = [[t[l] for t in s.digits] for l in range(s.d)]
+    # head * n_l^j: the prefix's numerator followed by j zero digits
+    heads = [lattice_column(n, [ds] * (level - j) + [[0]] * j) for n, ds in zip(s.bases, digits)]
+    tails = [lattice_column(n, [ds] * j) for n, ds in zip(s.bases, digits)]
+    return tuple(n**level for n in s.bases), (
+        tuple([h + v for v in tail] for h, tail in zip(hs, tails)) for hs in zip(*heads)
+    )
+
+
 def prefractal(s: Sponge, level: int) -> BoxSet:
     """The level-m cover of the sponge: one box per length-m word.
 
     Boxes are images of the unit cube under m-fold map compositions; they are
     ordered by word (lexicographically) and have side n_l^-m in coordinate l.
     """
-    if level < 0:
-        raise ScaleOutOfRange(f"pre-fractal level must be >= 0, got {level}")
-    admit(f"{len(s.digits)}^{level} boxes", itertools.repeat(len(s.digits), level))
-    columns = tuple(
-        tuple(lattice_column(n, [[t[l] for t in s.digits]] * level))
-        for l, n in enumerate(s.bases)
-    )
-    return BoxSet(columns, tuple(n**level for n in s.bases))
+    dens, blocks = _prefractal_blocks(s, level)
+    return BoxSet(tuple(tuple(itertools.chain.from_iterable(c)) for c in zip(*blocks)), dens)
 
 
 def _check_planar(d: int) -> None:
@@ -280,28 +295,50 @@ def _reduced(v: int, den: int) -> str:
     return f"{v // g}/{den // g}"
 
 
-def _interleave(tables: Sequence[dict[int, str]], bs: BoxSet) -> str:
+def _interleave(tables: Sequence[dict[int, str]], columns: Sequence[Sequence[int]]) -> str:
     """Box by box, tables[l][v] for the numerator v of each coordinate l.
 
     Every distinct numerator is formatted once, into its table, and the
     cells are written into one flat list, so no per-box string is built.
     """
     d = len(tables)
-    parts = [""] * (d * len(bs))
-    for l, (table, column) in enumerate(zip(tables, bs.columns)):
+    parts = [""] * (d * len(columns[0]))
+    for l, (table, column) in enumerate(zip(tables, columns)):
         parts[l::d] = map(table.__getitem__, column)
     return "".join(parts)
 
 
+def _csv_chunks(dens: Sequence[int], blocks: Iterable[Sequence[Sequence[int]]]) -> Iterator[str]:
+    """CSV text of a cover: the header, then one chunk per block of columns."""
+    yield ",".join(f"lo_{l+1},hi_{l+1}" for l in range(len(dens))) + "\n"
+    seps = [","] * (len(dens) - 1) + ["\n"]
+    tables: list[dict[int, str]] = [{} for _ in dens]
+    for block in blocks:
+        for table, column, den, sep in zip(tables, block, dens, seps):
+            if len(table) > _BLOCK_BOXES:  # a memo across blocks, kept bounded
+                table.clear()
+            table.update({v: f"{_reduced(v, den)},{_reduced(v + 1, den)}{sep}"
+                          for v in set(column) if v not in table})
+        yield _interleave(tables, block)
+
+
+def _svg_chunks(dens: Sequence[int], blocks: Iterable[Sequence[Sequence[int]]]) -> Iterator[str]:
+    """SVG text of a planar cover given block by block (see ``boxes_to_svg``)."""
+    dx, dy = dens
+    tail = (f' width="{1 / dx:.12g}" height="{1 / dy:.12g}" '
+            'fill="#1f3a5f" fill-opacity="0.85"/>\n')
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1" width="640" height="640">\n'
+           '<rect x="0" y="0" width="1" height="1" fill="#ffffff"/>\n')
+    for cx, cy in blocks:
+        xs = {v: f'<rect x="{v / dx:.12g}" ' for v in set(cx)}
+        ys = {v: f'y="{1.0 - (v + 1) / dy:.12g}"{tail}' for v in set(cy)}
+        yield _interleave([xs, ys], (cx, cy))
+    yield "</svg>\n"
+
+
 def boxes_to_csv(bs: BoxSet) -> str:
     """CSV dump with exact rational corners, columns lo_1,hi_1,...,lo_d,hi_d."""
-    header = ",".join(f"lo_{l+1},hi_{l+1}" for l in range(bs.d))
-    seps = [","] * (bs.d - 1) + ["\n"]
-    tables = [
-        {v: f"{_reduced(v, den)},{_reduced(v + 1, den)}{sep}" for v in set(column)}
-        for column, den, sep in zip(bs.columns, bs.dens, seps)
-    ]
-    return header + "\n" + _interleave(tables, bs)
+    return "".join(_csv_chunks(bs.dens, [bs.columns]))
 
 
 def boxes_to_svg(bs: BoxSet) -> str:
@@ -312,14 +349,4 @@ def boxes_to_svg(bs: BoxSet) -> str:
     integer quotients, which round correctly as Fraction.__float__ does.
     """
     _check_planar(bs.d)
-    (cx, cy), (dx, dy) = bs.columns, bs.dens
-    tail = (f' width="{1 / dx:.12g}" height="{1 / dy:.12g}" '
-            'fill="#1f3a5f" fill-opacity="0.85"/>\n')
-    xs = {v: f'<rect x="{v / dx:.12g}" ' for v in set(cx)}
-    ys = {v: f'y="{1.0 - (v + 1) / dy:.12g}"{tail}' for v in set(cy)}
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1" '
-        'width="640" height="640">\n'
-        '<rect x="0" y="0" width="1" height="1" fill="#ffffff"/>\n'
-        + _interleave([xs, ys], bs) + "</svg>\n"
-    )
+    return "".join(_svg_chunks(bs.dens, [bs.columns]))

@@ -13,10 +13,11 @@ fibre structure rather than from floating-point comparisons.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .cubes import ScaleLike, admit, as_scale
 from .errors import InternalError, NonStrictBases, ScaleOutOfRange
@@ -187,23 +188,25 @@ def lg_family_dims(lam: ScaleLike) -> tuple[float, float, float, float]:
     return (lower, hausdorff, box, assouad)
 
 
-def lg_family_csv(lo: Fraction, hi: Fraction, step: Fraction) -> str:
-    """Sweep the family over an exact grid; one CSV row per parameter.
-
-    The rows are counted and admitted (``cubes.admit``) before any is built.
-    """
+def _lg_family_rows(lo: Fraction, hi: Fraction, step: Fraction) -> Iterator[str]:
+    """The lines of ``lg_family_csv``, each formed as it is drawn."""
     if step <= 0:
         raise ScaleOutOfRange(f"step must be positive, got {step}")
     if lo > hi:
         raise ScaleOutOfRange(f"empty parameter range [{lo}, {hi}]")
     rows = (hi - lo) // step + 1
     admit(f"rows from {lo} to {hi} in steps of {step}", [rows])
-    lines = ["lambda,lower,hausdorff,box,assouad"]
-    for k in range(rows):
-        lam = lo + k * step
-        lower, hausdorff, box, assouad = lg_family_dims(lam)
-        lines.append(
-            f"{lam.numerator}/{lam.denominator},"
-            f"{lower!r},{hausdorff!r},{box!r},{assouad!r}"
-        )
-    return "\n".join(lines) + "\n"
+    for lam in (lo, lo + (rows - 1) * step):  # a grid inside (0, 1/2] at both ends
+        lg_family_dims(lam)
+    return itertools.chain(["lambda,lower,hausdorff,box,assouad\n"], (
+        f"{lam.numerator}/{lam.denominator},{','.join(map(repr, lg_family_dims(lam)))}\n"
+        for lam in (lo + k * step for k in range(rows))
+    ))
+
+
+def lg_family_csv(lo: Fraction, hi: Fraction, step: Fraction) -> str:
+    """Sweep the family over an exact grid; one CSV row per parameter.
+
+    The rows are admitted (``cubes.admit``) and both grid ends checked before any is built.
+    """
+    return "".join(_lg_family_rows(lo, hi, step))

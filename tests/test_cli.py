@@ -7,6 +7,7 @@ test_output_pins.py.
 
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -532,19 +533,44 @@ class TestRender:
         assert rc == 2
         assert ".svg or .csv" in err
 
-    @pytest.mark.parametrize("out, code", [("cover.txt", 2), ("cover.svg", 1)])
-    def test_refusals_precede_enumeration(self, capsys, spec_dir, tmp_path, out, code):
-        """A bad suffix, or SVG of a 3-d sponge, is refused before 10^7 boxes are built."""
+    @pytest.mark.parametrize("name, level, out, code, message", [
+        ("sponge_234", "7", "cover.txt", 2, ".svg or .csv"),
+        ("sponge_234", "7", "cover.svg", 1, "planar"),
+        ("carpet_24", "9100", "big.svg", 1, "over the cap"),
+    ], ids=["cover.txt-2", "cover.svg-1", "big.svg-1"])
+    def test_refusals_precede_enumeration(
+        self, capsys, spec_dir, tmp_path, name, level, out, code, message
+    ):
+        """A bad suffix, SVG of a 3-d sponge, or a level over the cap is
+        refused before any box is built and before the file is opened."""
         start = time.perf_counter()
         rc, _, err = invoke(
-            capsys, "render", str(spec_dir / "sponge_234.json"),
-            "--level", "7", "--out", str(tmp_path / out),
+            capsys, "render", str(spec_dir / f"{name}.json"),
+            "--level", level, "--out", str(tmp_path / out),
         )
         elapsed = time.perf_counter() - start
         assert rc == code
-        assert ".svg or .csv" in err if code == 2 else "planar" in err
+        assert message in err
         assert not (tmp_path / out).exists()
         assert elapsed < 0.5
+
+    def test_memory_does_not_grow_with_the_level(self, capsys, spec_dir, tmp_path):
+        """Boxes are formatted and written block by block: the traced peak of
+        a 10^5-box render is within 1 MB of a 10^3-box one."""
+        spec = str(spec_dir / "sponge_234.json")
+
+        def peak(level: str) -> int:
+            tracemalloc.start()
+            try:
+                assert run(["render", spec, "--level", level, "--out", str(tmp_path / "c.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("3")
+        small, large = peak("3"), peak("5")
+        capsys.readouterr()
+        assert large - small < 2**20, (small, large)
 
 
 # Its level-11 tangent cover (786,432 boxes) is under the cap, but the

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import spongedim as sd
 import _oracles as oracle
+from spongedim.cli import run
 from spongedim.cubes import DEFAULT_CAP, admit, as_scale
 from conftest import random_strict_sponge
 
@@ -363,19 +364,30 @@ class TestBoxExport:
 class TestExportOracle:
     """Pre-fractals and their exports agree with a per-box Fraction oracle."""
 
+    # The last level of each spec spans several export blocks of
+    # cubes._BLOCK_BOXES and ends on a block edge: 10 blocks of 10^3 boxes,
+    # 9 of 3^7 and 2 of 2^12.
     @pytest.mark.parametrize(
         "name, levels",
-        [("sponge_234", (0, 1, 2, 3)), ("carpet_24", range(6)), ("carpet_vssc_34", range(6))],
+        [("sponge_234", (0, 1, 2, 3, 4)), ("carpet_24", (*range(6), 9)),
+         ("carpet_vssc_34", (*range(6), 13))],
     )
-    def test_boxes_and_files_identical(self, spec_dir, name, levels):
+    def test_boxes_and_files_identical(self, spec_dir, tmp_path, name, levels):
         s = sd.load_sponge(spec_dir / f"{name}.json")
         for level in levels:
             bs = sd.prefractal(s, level)
             expected = oracle.prefractal_boxes(s, level)
             assert oracle.boxset_boxes(bs) == expected
-            assert sd.boxes_to_csv(bs) == oracle.boxes_csv(expected)
+            texts = {"csv": oracle.boxes_csv(expected)}
+            assert sd.boxes_to_csv(bs) == texts["csv"]
             if s.d == 2:
-                assert sd.boxes_to_svg(bs) == oracle.boxes_svg(expected)
+                texts["svg"] = oracle.boxes_svg(expected)
+                assert sd.boxes_to_svg(bs) == texts["svg"]
+            for suffix, text in texts.items():
+                out = tmp_path / f"{name}_{level}.{suffix}"
+                assert run(["render", str(spec_dir / f"{name}.json"),
+                            "--level", str(level), "--out", str(out)]) == 0
+                assert out.read_bytes() == text.encode("utf-8")
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**5), level=st.integers(0, 4), depth=st.integers(0, 2))
