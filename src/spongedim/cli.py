@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .errors import SpongeError
 from .cubes import (
@@ -75,6 +76,7 @@ def _parse_word(text: str) -> tuple[tuple[int, ...], ...]:
         raise argparse.ArgumentTypeError(f"malformed word: {text!r}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spongedim",

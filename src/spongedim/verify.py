@@ -800,6 +800,34 @@ def _largest(quotients: list[tuple]) -> tuple | None:
     return best
 
 
+@lru_cache(maxsize=1)
+def _sponge_moves(s: Sponge) -> dict:
+    """``_moves(s, w, l)`` for every level-set width w and coordinate l < w."""
+    return {(w, l): _moves(s, w, l) for w in range(1, s.d + 1) for l in range(w)}
+
+
+def _move_extremes(moves: dict, m: BernoulliMeasure) -> dict:
+    """(w, l, steps or wraps, direction) -> the largest (num, den, lower) quotient.
+
+    A move (p, q) of ``moves[w, l]`` has the prefix-mass quotient
+    mass(p)/mass(q) in direction 1 and its inverse in direction -1, kept as
+    an unreduced integer pair.  Moves run in order of their lower tuple, so
+    among equal quotients the least lower tuple is kept; None when there is
+    no move.  The table reads the measure alone, so one serves every depth.
+    """
+    extreme, mass = {}, m.prefix_mass
+    for (w, l), kinds in moves.items():
+        for i, kind in enumerate(kinds):
+            up = []
+            for p, q in kind:
+                a, b = mass(p).as_integer_ratio()
+                c, e = mass(q).as_integer_ratio()
+                up.append((a * e, b * c, p))
+            extreme[w, l, i, 1] = _largest(up)
+            extreme[w, l, i, -1] = _largest([(d, n, p) for n, d, p in up])
+    return extreme
+
+
 class _DepthPlan:
     """The moves that pair adjacent cubes at one depth, for any measure.
 
@@ -808,7 +836,9 @@ class _DepthPlan:
     steps the l-digit up at the last position j < k_l where it is below
     n_l - 1, wraps it from n_l - 1 to 0 at j+1..k_l-1, and moves nothing
     else, each moved tuple staying in its L_t; ``moves[w, l]`` holds these
-    ``_moves`` on the L of width w.
+    ``_moves`` on the L of width w, shared by every plan of the sponge.
+    A plan reads no measure: a row chains the per-position extremes of a
+    ``_move_extremes`` table, which is built once per measure.
     """
 
     def __init__(self, s: Sponge, k: int) -> None:
@@ -820,7 +850,8 @@ class _DepthPlan:
         self.widths = [_column_width(ks, t) for t in range(1, ks[0] + 1)]
         sets = [s.level_sets[w] for w in self.widths]
         self.least = [min(level_set) for level_set in sets]
-        self.moves = {(w, l): _moves(s, w, l) for w in set(self.widths) for l in range(w)}
+        moves = _sponge_moves(s)
+        self.moves = {(w, l): moves[w, l] for w in set(self.widths) for l in range(w)}
         self.pair_count = 0
         for l, kl in enumerate(ks):
             tail = 1  # wrap choices at positions j+1..kl-1
@@ -838,31 +869,27 @@ class _DepthPlan:
         """
         kl = self.ks[l]
         word = [*self.least[: kl - len(lower)], *lower, *self.least[kl:]]
-        return tuple(
-            sum(p[i] * n ** (ki - 1 - t) for t, p in enumerate(word[:ki]))
-            for i, (n, ki) in enumerate(zip(self.bases, self.ks))
-        )
+        coordinates = []
+        for i, (n, ki) in enumerate(zip(self.bases, self.ks)):
+            c = 0
+            for p in word[:ki]:
+                c = c * n + p[i]
+            coordinates.append(c)
+        return tuple(coordinates)
 
-    def max_ratio_row(self, depth: int, m: BernoulliMeasure) -> DepthRatioRow:
+    def max_ratio_row(self, depth: int, extreme: dict) -> DepthRatioRow:
         """The row of one measure: its largest adjacent mass ratio and witness.
 
         A pair's ratio is the larger of its lower-over-upper mass quotient
         (direction 1) and its inverse, a product of independently chosen
         prefix-mass quotients, one per moved position.  So per (l, j,
-        direction) the largest takes each position's largest, and its least
-        pair each position's least lower tuple among ties.  A maximum above
-        the float range raises ZeroMeasure.
+        direction) the largest takes each position's largest, read from the
+        measure's ``_move_extremes`` table ``extreme``, and its least pair
+        each position's least lower tuple among ties.  A maximum above the
+        float range raises ZeroMeasure.
         """
         if not self.pair_count:
             return DepthRatioRow(depth, 0, None, None)
-        # (w, l, steps or wraps, direction) -> the largest (num, den, lower)
-        # quotient; moves run in order of their lower tuple
-        extreme, mass = {}, m.prefix_mass
-        for (w, l), pair in self.moves.items():
-            for i, moves in enumerate(pair):
-                up = [(*(mass(p) / mass(q)).as_integer_ratio(), p) for p, q in moves]
-                extreme[w, l, i, 1] = _largest(up)
-                extreme[w, l, i, -1] = _largest([(d, n, p) for n, d, p in up])
         found = []
         for l, kl in enumerate(self.ks):
             for e in (1, -1):
@@ -914,7 +941,9 @@ def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingR
 
     The plans of all depths (``_DepthPlan``, which read no measure) are
     built, and checked against the cap, before any row, and kept for the
-    next call with the same sponge and depth, so a sweep plans once.
+    next call with the same sponge and depth.  The measure is read once,
+    into one ``_move_extremes`` table that every depth's row chains, so a
+    sweep plans once and reads each measure once.
     ``max_ratio`` is the exact maximum, correctly rounded to a float.  The
     witness is the first pair, in lexicographic order of the lower cube's
     grid coordinates and then the coordinate of the step, whose ratio
@@ -929,7 +958,9 @@ def doubling_report(s: Sponge, m: BernoulliMeasure, max_depth: int) -> DoublingR
     if max_depth < 1:
         raise ScaleOutOfRange(f"max_depth must be >= 1, got {max_depth}")
     plans = _depth_plans(s, max_depth)
-    rows = [plan.max_ratio_row(k, m) for k, plan in enumerate(plans, 1)]
+    moves = {key: kinds for plan in plans for key, kinds in plan.moves.items()}
+    extreme = _move_extremes(moves, m)
+    rows = [plan.max_ratio_row(k, extreme) for k, plan in enumerate(plans, 1)]
     bucket_best: dict[int, float] = {}
     for plan, row in zip(plans, rows):
         if row.max_ratio is not None:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import spongedim as sd
-from spongedim.cli import run
+from spongedim.cli import _build_parser, run
 from spongedim.measure import weights_to_json
 
 
@@ -710,3 +710,36 @@ class TestUsage:
             "a/b",
         )[0]
         assert rc == 2
+
+    def test_parser_reuse_changes_nothing(self, capsys, spec_dir, tmp_path):
+        """The parser is built once per process; every call through it, a
+        usage error and a snapped-scale note included, prints and exits as
+        through a parser built for that call alone."""
+        carpet = str(spec_dir / "carpet_24.json")
+        side = tmp_path / "uniform.json"
+        side.write_text(weights_to_json(sd.coordinate_uniform(sd.load_sponge(carpet))))
+        calls = [
+            ("doubling", carpet, "--measure", str(side), "--grid", "1/3", "--max-depth", "5"),
+            ("doubling", carpet, "--grid", "1/5", "--max-depth", "6"),
+            ("tangent", str(spec_dir / "sponge_234.json"), "--scale", "1/16",
+             "--mode", "max", "--level", "6"),
+            ("doubling", carpet, "--measure", str(side), "--max-depth", "6"),
+            ("count", str(spec_dir / "sponge_234.json"), "--scale", "0.33333333333333331"),
+        ]
+
+        def results(fresh):
+            out = []
+            for argv in calls:
+                if fresh:
+                    _build_parser.cache_clear()
+                out.append(invoke(capsys, *argv))
+            return out
+
+        _build_parser.cache_clear()
+        reused = results(fresh=False)
+        assert _build_parser.cache_info().misses == 1
+        fresh = results(fresh=True)
+        assert reused == fresh
+        assert [rc for rc, _, _ in reused] == [2, 0, 0, 0, 0]
+        assert "not allowed with argument" in reused[0][2]
+        assert "snapped" in reused[4][2]

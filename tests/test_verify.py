@@ -346,7 +346,7 @@ class TestDoubling:
             pairs = oracle.adjacent_pairs(s, k)
             assert plan.pair_count == len(pairs)
             for m in measures:
-                row = plan.max_ratio_row(k, m)
+                row = plan.max_ratio_row(k, verify._move_extremes(plan.moves, m))
                 if not pairs:
                     assert (row.max_ratio, row.witness) == (None, None)
                     continue
@@ -378,6 +378,32 @@ class TestDoubling:
         finally:
             verify._depth_plans.cache_clear()
         assert builds == [1, 2, 3, 4]
+
+    def test_a_sweep_reads_each_measure_once(self, carpet_24, sponge_234, monkeypatch):
+        """One move-extreme table per report, whatever the depth; no table
+        leaks from one measure into the next report on the same plans."""
+        reads = []
+        build = verify._move_extremes
+
+        def recording(moves, m):
+            reads.append(m)
+            return build(moves, m)
+
+        monkeypatch.setattr(verify, "_move_extremes", recording)
+        grid = list(sd.positive_weight_grid(carpet_24, Fraction(1, 5)))
+        for m in grid:
+            sd.doubling_report(carpet_24, m, 4)
+        assert len(grid) > 1
+        assert [id(m) for m in reads] == [id(m) for m in grid]
+
+        uniform = sd.coordinate_uniform(sponge_234)
+        digits = sorted(sponge_234.digits)
+        skew = sd.BernoulliMeasure(
+            sponge_234, {t: Fraction(i + 1, 55) for i, t in enumerate(digits)}
+        )
+        for m in (uniform, skew, uniform):
+            self._assert_matches_oracle(sponge_234, m, sd.doubling_report(sponge_234, m, 4))
+        assert len(reads) == len(grid) + 3
 
     def test_cap_checked_before_a_depth_is_built(self, carpet_24):
         m = sd.coordinate_uniform(carpet_24)
