@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import add, mul
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -30,6 +30,9 @@ from .errors import (
 )
 from .cubes import DEFAULT_CAP, ScaleLike, admit, as_scale, scale_exponents, _checked_word
 from .model import DigitTuple, Prefix, Sponge, _json_document, _read_file
+
+# The least positive normal float.
+_MIN_NORMAL = 2.0**-1022
 
 # Above this many factors cube masses are reported in log space only.
 EXACT_FACTOR_BUDGET = 512
@@ -113,6 +116,16 @@ class BernoulliMeasure:
             tables.append({t: logs[t[: l + 1]] for t in self.sponge.digits})
         return tuple(tables)
 
+    @cached_property
+    def mass_numerators(self) -> tuple[int, tuple[int, ...]]:
+        """(Q, numerators): Q the lcm of the weight denominators and each
+        digit's weight as a numerator over Q, in ``sponge.digits`` order."""
+        q = math.lcm(*(v.denominator for v in self.weights.values()))
+        return q, tuple(
+            self.weights[t].numerator * (q // self.weights[t].denominator)
+            for t in self.sponge.digits
+        )
+
 
 def coordinate_uniform(s: Sponge) -> BernoulliMeasure:
     """The measure that splits mass evenly at every coordinate refinement.
@@ -189,13 +202,60 @@ def ball_measure_bounds(
     Both brackets are monotone in ``depth``: deeper runs can only tighten.
     A radius of zero degenerates to (0, mass of cylinders through the point).
 
-    The walk is in integers.  With centre coordinate c_l = a_l/b_l, a box's
-    corners at a level are numerators over b_l * n_l^level, and squared
-    distances are compared to the radius after multiplying both sides by
-    the squares of those denominators (constants derived level by level,
-    each from the one before by exact integer products).
-    Masses are numerators over Q^level, Q the lcm of the weight
-    denominators; the two brackets become fractions once, at the end.
+    The walk is the one-radius case of ``_concentric_brackets``.  With centre
+    coordinate c_l = a_l/b_l, a node carries its integer offsets from the
+    centre over b_l * n_l^level, and each box is classified in floats,
+    distance over radius, under a proven relative error bound; only a
+    comparison inside that bound (a closed-ball tie among them) falls back
+    to exact integer arithmetic.  Masses are numerators over Q^level, Q the
+    lcm of the weight denominators; the two brackets become fractions once,
+    at the end.
+    """
+    return _concentric_brackets(m, center, (radius,), depth)[0]
+
+
+def _concentric_brackets(
+    m: BernoulliMeasure,
+    center: Sequence[ScaleLike],
+    radii: Sequence[ScaleLike],
+    depth: int,
+) -> list[tuple[RationalLog, RationalLog]]:
+    """``ball_measure_bounds`` for several radii about one centre, in one walk.
+
+    A node is visited while some radius straddles its box, and its children
+    are classified only for those radii: each radius meets exactly the nodes
+    and decisions of its own walk, and the node guard counts their union.
+
+    Offsets: at level L, coordinate l of the centre is x_l = a_l n_l^L over
+    s_l = b_l n_l^L, a box's lower corner is lo_l over s_l and its side is
+    b_l.  A node keeps d_l = x_l - lo_l, and its child through digit t has
+    n_l d_l - b_l t_l.  The box's nearest and farthest points lie ``near_l``
+    and ``far_l`` (integers over s_l) from the centre in coordinate l.
+
+    Float filter (Shewchuk's adaptive predicates).  Each sum S of squared
+    distances is compared with R^2 through a float S' within gamma_k S of it
+    (k roundings, gamma_k = k u / (1 - k u), u = 2^-53), give or take under
+    d 2^-1074 from terms that underflow:
+    - while every h_l = 1/s_l is a normal float and R^2 = p^2/q^2 lies in
+      [2^-1000, 2^1000], the node's near_l h_l and far_l h_l serve every
+      such radius.  h_l is the correctly rounded 1/b_l at level 0 and the
+      level before's h_l / n_l after (L + 1 roundings); the int-to-float
+      conversion and the product add two, the square doubles them and adds
+      one, and the d - 1 additions of non-negative terms add one each:
+      k = 2L + d + 6.  The cuts R^2 (1 -+ margin) carry two roundings.  A
+      node whose integers convert to no float takes the path below;
+    - otherwise the radius forms the distance over R from exact integers,
+      (dist << up) / (s_l << down), one correctly rounded quotient, times a
+      rounded ratio in (1/2, 2): k = d + 6, against the cuts 1 -+ margin.
+      A quotient past the float range (``OverflowError``) is a distance
+      over R past 2^1023: the box lies outside the ball (near) or not
+      inside it (far).
+    No level lies past min(depth, node guard), so the margin
+    (2L + d + 10) 2^-52 for that L bounds the error on both sides: S' at or
+    below the low cut proves S < R^2, S' at or above the high cut proves
+    S > R^2, and what lies between, every tie S = R^2 among it, is decided
+    by the exact integer test of the level.  Radius 0 is exact: the box
+    meets the point iff every near_l is 0.
     """
     s = m.sponge
     if depth < 0:
@@ -203,87 +263,165 @@ def ball_measure_bounds(
     c = tuple(map(as_scale, center))
     if len(c) != s.d:
         raise DigitOutOfRange(f"center has {len(c)} coordinates, expected {s.d}")
-    rad = as_scale(radius)
-    if rad < 0:
-        raise ScaleOutOfRange(f"radius must be >= 0, got {rad}")
+    rads = tuple(map(as_scale, radii))
+    for rad in rads:
+        if rad < 0:
+            raise ScaleOutOfRange(f"radius must be >= 0, got {rad}")
+    bases = s.bases
     cb = [x.denominator for x in c]
-    q_mass = math.lcm(*(v.denominator for v in m.weights.values()))
-    # per digit: the child's corner offsets b_l * t_l and its mass numerator
-    children = []
-    for t in s.digits:
-        w = m.weights[t]
-        children.append((tuple(map(mul, cb, t)), w.numerator * (q_mass // w.denominator)))
-    # per level reached: centre numerators, distance weights and radius term,
-    # and the mass numerators that level adds to each bracket
-    total = math.prod(b * b for b in cb)
-    levels = [([x.numerator for x in c], [total // (b * b) * rad.denominator**2 for b in cb],
-               total * rad.numerator**2)]
-    growth = math.prod(n * n for n in s.bases)
-    weight_growth = [growth // (n * n) for n in s.bases]
-    lower, upper = [0], [0]
-    positive = rad.numerator > 0
+    q_mass, numerators = m.mass_numerators
+    # per digit: the child's offset shifts b_l * t_l and its mass numerator
+    children = [(tuple(map(mul, cb, t)), w) for t, w in zip(s.digits, numerators)]
+    rnums = [rad.numerator for rad in rads]
+    rdens = [rad.denominator for rad in rads]
+    margin = (2 * min(depth, DEFAULT_CAP) + s.d + 10) * 2.0**-52
+    unit_cuts = (1.0 - margin, 1.0 + margin)
+    # per radius p/q, with e = bits(q) - bits(p): the cuts R^2 (1 -+ margin)
+    # for the shared distances when |e| < 500, so R^2 lies in [2^-1000,
+    # 2^1000], else None; and the distance over R as (dist << up) /
+    # (s_l << down) * ratio, q / p = ratio * 2^(up - down), ratio in (1/2, 2)
+    cuts = []
+    quotients = []
+    for p, q in zip(rnums, rdens):
+        e = q.bit_length() - p.bit_length()
+        r2 = p * p / (q * q) if p and -500 < e < 500 else 0.0
+        cuts.append((r2 * unit_cuts[0], r2 * unit_cuts[1]) if r2 else None)
+        up, down = max(e, 0), max(-e, 0)
+        quotients.append((up, down, (q << down) / (p << up) if p else 0.0))
+
+    def normal(hs: list[float]) -> list[float] | None:
+        return hs if min(hs) >= _MIN_NORMAL else None
+
+    # per level reached: the scales s_l, the floats h_l (None once one is
+    # below the normal range), and the mass numerators that level adds to
+    # each radius's lower and upper bracket
+    levels = [(cb, normal([1 / b for b in cb]), [0] * (2 * len(rads)))]
+    exact_terms: dict[tuple[int, int], tuple[list[int], int]] = {}
+
+    def exact_below(level: int, i: int, offsets: tuple[int, ...], near: bool) -> bool:
+        """Whether the box's nearest point lies in the open ball (``near``) or
+        its farthest in the closed one: sum (dist_l / s_l)^2 against R^2 in
+        integers, both sides times q^2 prod s_l^2, the level's terms built on
+        first use."""
+        terms = exact_terms.get((level, i))
+        if terms is None:
+            scales = levels[level][0]
+            total = math.prod(y * y for y in scales)
+            terms = exact_terms[level, i] = (
+                [total // (y * y) * rdens[i] ** 2 for y in scales], total * rnums[i] ** 2)
+        weights, r2 = terms
+        sq = 0
+        for d, b, wt in zip(offsets, cb, weights):
+            if near:
+                dist = -d if d < 0 else d - b if d > b else 0
+            else:
+                dist = d if d + d > b else b - d
+            sq += dist * dist * wt
+        return sq < r2 if near else sq <= r2
 
     visited = 0
     cap = DEFAULT_CAP  # a local, read once per node below
-    # (level, per-coordinate lower corners over b_l * n_l^level, mass over Q^level)
-    stack = [(0, (0,) * s.d, 1)]
+    # (level, offsets over b_l * n_l^level, mass over Q^level, straddling radii)
+    stack = [(0, tuple([x.numerator for x in c]), 1, tuple(range(len(rads))))]
     while stack:
-        level, corners, mass = stack.pop()
+        level, offsets, mass, active = stack.pop()
         visited += 1
         if visited > cap:
             raise EnumerationTooLarge(f"ball bracket enumeration exceeded cap {cap}")
         if level == len(levels):
-            xs, weights, r2 = levels[-1]
-            levels.append((list(map(mul, xs, s.bases)),
-                           list(map(mul, weights, weight_growth)), r2 * growth))
-            lower.append(0)
-            upper.append(0)
-        xs, weights, r2 = levels[level]
-        min_sq = 0
-        max_sq = 0
-        for x, lo, b, wt in zip(xs, corners, cb, weights):
-            hi = lo + b
-            if x < lo:
-                near, far = lo - x, hi - x
-            elif x > hi:
-                near, far = x - hi, x - lo
+            scales, hs, _ = levels[-1]
+            levels.append((list(map(mul, scales, bases)),
+                           hs and normal([h / n for h, n in zip(hs, bases)]),
+                           [0] * (2 * len(rads))))
+        scales, hs, sums = levels[level]
+        shared = False
+        if hs:
+            # the node's squared nearest and farthest distances, in floats
+            near_abs = far_abs = 0.0
+            try:
+                for d, b, h in zip(offsets, cb, hs):
+                    if d < 0:
+                        u = -d * h
+                        near_abs += u * u
+                        v = (b - d) * h
+                    elif d > b:
+                        u = (d - b) * h
+                        near_abs += u * u
+                        v = d * h
+                    else:
+                        v = (d if d + d > b else b - d) * h
+                    far_abs += v * v
+                shared = True
+            except OverflowError:
+                pass
+        straddling = []
+        for i in active:
+            cut = cuts[i]
+            if cut and shared:
+                near_sq, far_sq = near_abs, far_abs
+                low, high = cut
+            elif rnums[i]:
+                low, high = unit_cuts
+                near_sq = far_sq = 0.0
+                up, down, ratio = quotients[i]
+                try:
+                    for d, b, y in zip(offsets, cb, scales):
+                        dist = -d if d < 0 else d - b if d > b else 0
+                        if dist:
+                            u = (dist << up) / (y << down) * ratio
+                            near_sq += u * u
+                except OverflowError:
+                    continue  # a distance over R past the float range: outside
+                try:
+                    for d, b, y in zip(offsets, cb, scales):
+                        v = ((d if d + d > b else b - d) << up) / (y << down) * ratio
+                        far_sq += v * v
+                except OverflowError:
+                    far_sq = math.inf  # not inside
+            elif any(d < 0 or d > b for d, b in zip(offsets, cb)):
+                continue  # radius 0, and the box misses the centre
             else:
-                near, far = 0, max(x - lo, hi - x)
-            min_sq += near * near * wt
-            max_sq += far * far * wt
-        meets_ball = min_sq < r2 if positive else min_sq == 0
-        if not meets_ball:
-            continue
-        if positive and max_sq <= r2:
-            lower[level] += mass
-            upper[level] += mass
-            continue
-        if level == depth:
-            upper[level] += mass
-            continue
-        scaled = tuple(map(mul, corners, s.bases))
-        for offsets, weight in children:
-            stack.append((level + 1, tuple(map(add, scaled, offsets)), mass * weight))
+                low, high = unit_cuts
+                near_sq, far_sq = 0.0, math.inf  # radius 0: never inside
+            if near_sq >= high or (
+                near_sq > low and not exact_below(level, i, offsets, True)
+            ):
+                continue
+            if far_sq <= low or (far_sq < high and exact_below(level, i, offsets, False)):
+                sums[2 * i] += mass
+                sums[2 * i + 1] += mass
+                continue
+            if level == depth:
+                sums[2 * i + 1] += mass
+            else:
+                straddling.append(i)
+        if straddling:
+            straddling = tuple(straddling)
+            scaled = tuple(map(mul, offsets, bases))
+            for shifts, weight in children:
+                stack.append((level + 1, tuple(map(sub, scaled, shifts)),
+                              mass * weight, straddling))
 
     # over Q^deepest level reached, not Q^depth: the walk may stop early
     den = q_mass ** (len(levels) - 1)
 
-    def bracket(sums: list[int]) -> RationalLog:
+    def bracket(i: int) -> RationalLog:
         num = 0
-        for level_sum in sums:
-            num = num * q_mass + level_sum
+        for *_, row in levels:
+            num = num * q_mass + row[i]
         return _rational_log(Fraction(num, den))
 
-    return bracket(lower), bracket(upper)
+    return [(bracket(2 * i), bracket(2 * i + 1)) for i in range(len(rads))]
 
 
 def _rational_log(x: Fraction) -> RationalLog:
     """x with its natural log, also when float(x) underflows to zero."""
-    if x == 0:
+    if not x:
         return RationalLog(x, -math.inf)
-    if float(x) == 0:
+    f = x.numerator / x.denominator  # float(x), formed once
+    if f == 0:
         return RationalLog(x, math.log(x.numerator) - math.log(x.denominator))
-    return RationalLog(x, math.log(x))
+    return RationalLog(x, math.log(f))
 
 
 def weights_to_doc(m: BernoulliMeasure) -> dict[str, str]:

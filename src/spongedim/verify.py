@@ -44,8 +44,8 @@ from .cubes import (
 from .dims import assouad_dim, lower_dim
 from .measure import (
     BernoulliMeasure,
-    ball_measure_bounds,
     coordinate_uniform,
+    _concentric_brackets,
     _log_mass,
 )
 from .model import DigitTuple, Sponge, satisfies_vssc
@@ -726,8 +726,7 @@ def scan_ball_ratios_vssc(
         center = _tau_point(s, word, tail)
         big = Fraction(1, 2 * n1**a)
         small = Fraction(1, 2 * n1**b)
-        blo, bhi = ball_measure_bounds(m, center, big, b + 3)
-        slo, shi = ball_measure_bounds(m, center, small, b + 3)
+        (blo, bhi), (slo, shi) = _concentric_brackets(m, center, (big, small), b + 3)
         low = blo.log_value - shi.log_value  # -inf when blo is 0
         high = bhi.log_value - slo.log_value  # +inf when slo is 0
         return a, b, word, "|" + _word_label([tail]), small, big, low, high

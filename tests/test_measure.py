@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import spongedim as sd
 import _oracles as oracle
 from conftest import random_strict_sponge
-from spongedim.measure import EXACT_FACTOR_BUDGET, _log_mass
+from spongedim.measure import EXACT_FACTOR_BUDGET, _concentric_brackets, _log_mass
 from spongedim.verify import _tau_point
 
 
@@ -353,6 +353,92 @@ class TestBallBrackets:
             got = sd.ball_measure_bounds(m, center, radius, depth)
             assert got == oracle.ball_measure_bounds(m, center, radius, depth)
         assert cases[-1][2] > 200 and got[0].exact > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**5), depth=st.integers(0, 5))
+    def test_concentric_walk_equals_fraction_oracle(self, seed, depth):
+        """One walk for 1-3 radii, 0 and repeats among them, gives each radius
+        the Fraction walk's brackets: shared floats, per-radius quotients past
+        the float range and exact ties alike."""
+        rng = random.Random(seed)
+        s = random_strict_sponge(rng, max_base=5, max_digits=6)
+        m = _random_measure(rng, s)
+        kind = rng.randrange(4)
+        if kind == 0:
+            # lattice points make the inside/outside comparisons tie
+            j = rng.randint(0, 3)
+            center = tuple(Fraction(rng.randint(0, n**j), n**j) for n in s.bases)
+        elif kind == 1:
+            center = tuple(
+                Fraction(rng.randint(-3, 15), rng.randint(1, 12)) for _ in s.bases
+            )
+        elif kind == 2:
+            # denominators past 2^1022: no node distance is a normal float
+            center = tuple(
+                Fraction(rng.randint(-2**1040, 2**1041), rng.randint(2**1030, 2**1040))
+                for _ in s.bases
+            )
+        else:
+            # numerators past 2^1024: the root's offsets convert to no float
+            center = (Fraction(rng.randint(2**1024, 2**1030), rng.randint(1, 9)),
+                      *(Fraction(rng.randint(0, 9), 9) for _ in s.bases[1:]))
+        pool = [
+            0,
+            Fraction(1, s.bases[0] ** rng.randint(0, 3)),
+            Fraction(rng.randint(1, 12), rng.randint(1, 24)),
+            Fraction(rng.randint(1, 9), 2**600),  # R^2 below the float range
+            Fraction(2**600, rng.randint(1, 9)),  # R^2 above it
+        ]
+        radii = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            radii.append(radii[0])
+        got = _concentric_brackets(m, center, radii, depth)
+        assert got == [oracle.ball_measure_bounds(m, center, r, depth) for r in radii]
+
+    def test_distance_over_radius_past_the_float_range(self, carpet_vssc):
+        """A depth-700 bracket of radius 1/(2 * 3^660) about a scan centre: at
+        the shallow levels near/R and far/R overflow a float, at the deep ones
+        only the per-radius quotients are in range."""
+        m = sd.coordinate_uniform(carpet_vssc)
+        rng = random.Random(700)
+        word = [rng.choice(carpet_vssc.digits) for _ in range(700)]
+        center = _tau_point(carpet_vssc, word, carpet_vssc.digits[1])
+        radius = Fraction(1, 2 * 3**660)
+        got = sd.ball_measure_bounds(m, center, radius, 700)
+        assert got == oracle.ball_measure_bounds(m, center, radius, 700)
+        assert 0 < got[0].exact <= got[1].exact
+
+    def test_repeated_radius_costs_no_node(self, carpet_vssc, monkeypatch):
+        """The node guard counts the union of the radii's walks: the 29-node
+        walk below, asked for twice in one call, still visits 29 nodes."""
+        m = sd.coordinate_uniform(carpet_vssc)
+        word = [(2, 3) if c == "1" else (0, 0) for c in "000000010110"]
+        center = _tau_point(carpet_vssc, word, (0, 0))
+        radius = Fraction(1, 2 * 3**6)
+        monkeypatch.setattr("spongedim.measure.DEFAULT_CAP", 29)
+        once = sd.ball_measure_bounds(m, center, radius, 14)
+        assert _concentric_brackets(m, center, (radius, radius), 14) == [once, once]
+
+    def test_sphere_ties_inside_the_float_cuts(self, carpet_vssc):
+        """Far corners exactly on the sphere, (dx, dy) = (3k eps, 4k eps) with
+        eps = 1/3^(L+1), at levels 1-60 (shared floats) and 680 (per-radius
+        quotients): the float sums land within the filter's margin of R^2,
+        so the exact test decides them."""
+        m = sd.coordinate_uniform(carpet_vssc)
+
+        def tie(rng, level, k):
+            word = [rng.choice(carpet_vssc.digits) for _ in range(level)]
+            x, y = _tau_point(carpet_vssc, word, (0, 0))
+            center = (x, y + Fraction(1, 4**level) - Fraction(4 * k, 3 ** (level + 1)))
+            return center, Fraction(5 * k, 3 ** (level + 1)), level + 1
+
+        rng = random.Random(25)
+        cases = [tie(rng, level, k) for level in range(1, 61) for k in (1, 2, 3)]
+        deep = random.Random(0)
+        cases += [tie(deep, 680, 2), tie(deep, 680, 3)]
+        for center, radius, depth in cases:
+            got = sd.ball_measure_bounds(m, center, radius, depth)
+            assert got == oracle.ball_measure_bounds(m, center, radius, depth)
 
     def test_node_guard_fires_one_node_past_the_walk(self, carpet_vssc, monkeypatch):
         """A scan-shaped bracket visits 29 nodes: a cap of 29 lets it finish,

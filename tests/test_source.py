@@ -71,7 +71,7 @@ def test_enumeration_refused_in_two_places():
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "EnumerationTooLarge"
             ]
-    assert sorted(found) == ["cubes.py:admit", "measure.py:ball_measure_bounds"]
+    assert sorted(found) == ["cubes.py:admit", "measure.py:_concentric_brackets"]
 
 
 def test_text_decoded_only_in_as_scale():
