@@ -15,9 +15,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import SpongeError
-from .cubes import (
-    _check_planar, _csv_chunks, _prefractal_blocks, _svg_chunks, as_scale, count_cubes,
-)
+from .cubes import _csv_chunks, _prefractal_blocks, _svg_chunks, as_scale, count_cubes
 from .dims import _lg_family_rows, dim_report
 from .measure import (
     coordinate_uniform,
@@ -30,13 +28,13 @@ from .model import has_uniform_fibres, load_sponge, satisfies_vssc
 from .verify import (
     DoublingVerdict,
     Mode,
+    _tangent_blocks,
     check_tangent_convergence,
     doubling_report,
     report_to_json,
     scan_ball_ratios_vssc,
     scan_cube_ratios,
     scan_samples_csv,
-    tangent_image,
 )
 
 _MAX_DENOMINATOR = 10**9
@@ -242,10 +240,10 @@ def _cmd_tangent(args: argparse.Namespace) -> int:
     mode = Mode.MAX if args.mode == "max" else Mode.MIN
     print(report_to_json(check_tangent_convergence(s, args.scale, mode, args.level)))
     if args.emit_boxes:
-        boxes = tangent_image(s, args.scale, mode, args.level)
+        dens, count, blocks = _tangent_blocks(s, args.scale, mode, args.level)
         with open(args.emit_boxes, "w", encoding="utf-8") as fh:
-            fh.writelines(_csv_chunks(boxes.dens, [boxes.columns]))
-        print(f"wrote {len(boxes)} boxes to {args.emit_boxes}", file=sys.stderr)
+            fh.writelines(_csv_chunks(dens, blocks))
+        print(f"wrote {count} boxes to {args.emit_boxes}", file=sys.stderr)
     return 0
 
 
@@ -257,7 +255,8 @@ def _cmd_family_lg(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     s = load_sponge(args.file)
     if args.out.endswith(".svg"):
-        _check_planar(s.d)
+        if s.d != 2:
+            raise SpongeError(f"SVG rendering needs a planar set, got d = {s.d}")
         chunks = _svg_chunks
     elif args.out.endswith(".csv"):
         chunks = _csv_chunks

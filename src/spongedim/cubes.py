@@ -8,8 +8,9 @@ Everything here is computed in exact rational arithmetic: scales are
 fractions and depth thresholds are decided by integer comparisons, never by
 floating point logarithms, so boundary scales such as r = n_l^-k land on the
 correct side.  Every box is a lattice cell, [v, v + 1] / n_l^m in coordinate
-l for an integer v: a cover keeps one numerator column and one denominator
-per coordinate, which the CSV and SVG exporters format without Fractions.
+l for an integer v.  Every cover is enumerated by ``_cover_blocks``, in blocks
+of numerator columns with one denominator per coordinate, which the CSV and
+SVG exporters format without Fractions.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     EnumerationTooLarge,
     InternalError,
     ScaleOutOfRange,
-    SpongeError,
     WordTooShort,
 )
 from .model import DigitTuple, Prefix, Sponge
@@ -108,26 +108,6 @@ class ApproximateCube:
     scale: Fraction
     exponents: ScaleExponents
     constraints: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class BoxSet:
-    """An ordered collection of lattice cells in [0,1]^d.
-
-    Box i is the cell whose coordinate l is
-    [columns[l][i] / dens[l], (columns[l][i] + 1) / dens[l]], so every corner
-    is an integer over n_l^m.  The exporters format straight from the columns.
-    """
-
-    columns: tuple[tuple[int, ...], ...]
-    dens: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    @property
-    def d(self) -> int:
-        return len(self.dens)
 
 
 def scale_exponents(s: Sponge, r: ScaleLike) -> ScaleExponents:
@@ -254,39 +234,40 @@ def lattice_column(base: int, positions: Iterable[Sequence[int]]) -> list[int]:
     return values
 
 
+def _cover_blocks(
+    bases: Sequence[int], choices: Sequence[Sequence[DigitTuple]]
+) -> Iterator[tuple[list[int], ...]]:
+    """Columns of a cover's boxes, one block at a time.
+
+    The cover's words are the products of ``choices[t]``, the digit tuples
+    allowed at position t, in word order; coordinate l of a word's box is
+    its coordinate-l digits read as a base-n_l numerator.  A block holds the
+    words with one prefix, and its suffix is the longest run of last
+    positions with at most _BLOCK_BOXES words, so coordinate l reads
+    head * n_l^j + v over the suffix column v of those j positions.
+    """
+    cut, size = len(choices), 1
+    while cut and size * len(choices[cut - 1]) <= _BLOCK_BOXES:
+        cut -= 1
+        size *= len(choices[cut])
+    digits = [[[digit[l] for digit in c] for c in choices] for l in range(len(bases))]
+    # head * n_l^j: the prefix's numerator followed by j zero digits
+    heads = [lattice_column(n, ds[:cut] + [[0]] * (len(ds) - cut)) for n, ds in zip(bases, digits)]
+    tails = [lattice_column(n, ds[cut:]) for n, ds in zip(bases, digits)]
+    return (tuple([h + v for v in tail] for h, tail in zip(hs, tails)) for hs in zip(*heads))
+
+
 def _prefractal_blocks(s: Sponge, level: int) -> tuple[tuple[int, ...], Iterator[tuple]]:
     """Denominators of the level-m cover, and its columns one block at a time.
 
-    A block holds the words with one prefix, in word order; its suffix has j
-    positions, j the largest with |D|^j <= _BLOCK_BOXES, so coordinate l reads
-    head * n_l^j + v over the suffix column v.  The level is admitted at the call.
+    The cover has one box per length-m word, the image of the unit cube under
+    the word's m-fold map composition: boxes run in word order and have side
+    n_l^-m in coordinate l.  The level is admitted at the call.
     """
     if level < 0:
         raise ScaleOutOfRange(f"pre-fractal level must be >= 0, got {level}")
     admit(f"{len(s.digits)}^{level} boxes", itertools.repeat(len(s.digits), level))
-    j = next(k for k in range(level, -1, -1) if len(s.digits) ** k <= _BLOCK_BOXES)
-    digits = [[t[l] for t in s.digits] for l in range(s.d)]
-    # head * n_l^j: the prefix's numerator followed by j zero digits
-    heads = [lattice_column(n, [ds] * (level - j) + [[0]] * j) for n, ds in zip(s.bases, digits)]
-    tails = [lattice_column(n, [ds] * j) for n, ds in zip(s.bases, digits)]
-    return tuple(n**level for n in s.bases), (
-        tuple([h + v for v in tail] for h, tail in zip(hs, tails)) for hs in zip(*heads)
-    )
-
-
-def prefractal(s: Sponge, level: int) -> BoxSet:
-    """The level-m cover of the sponge: one box per length-m word.
-
-    Boxes are images of the unit cube under m-fold map compositions; they are
-    ordered by word (lexicographically) and have side n_l^-m in coordinate l.
-    """
-    dens, blocks = _prefractal_blocks(s, level)
-    return BoxSet(tuple(tuple(itertools.chain.from_iterable(c)) for c in zip(*blocks)), dens)
-
-
-def _check_planar(d: int) -> None:
-    if d != 2:
-        raise SpongeError(f"SVG rendering needs a planar set, got d = {d}")
+    return tuple(n**level for n in s.bases), _cover_blocks(s.bases, [s.digits] * level)
 
 
 def _reduced(v: int, den: int) -> str:
@@ -323,7 +304,12 @@ def _csv_chunks(dens: Sequence[int], blocks: Iterable[Sequence[Sequence[int]]]) 
 
 
 def _svg_chunks(dens: Sequence[int], blocks: Iterable[Sequence[Sequence[int]]]) -> Iterator[str]:
-    """SVG text of a planar cover given block by block (see ``boxes_to_svg``)."""
+    """SVG text of a planar cover given block by block, on the unit square.
+
+    Only defined for d = 2.  The vertical axis is flipped so the origin sits
+    at the bottom-left, and no external styling is referenced.  Corners are
+    integer quotients, which round correctly as Fraction.__float__ does.
+    """
     dx, dy = dens
     tail = (f' width="{1 / dx:.12g}" height="{1 / dy:.12g}" '
             'fill="#1f3a5f" fill-opacity="0.85"/>\n')
@@ -334,19 +320,3 @@ def _svg_chunks(dens: Sequence[int], blocks: Iterable[Sequence[Sequence[int]]]) 
         ys = {v: f'y="{1.0 - (v + 1) / dy:.12g}"{tail}' for v in set(cy)}
         yield _interleave([xs, ys], (cx, cy))
     yield "</svg>\n"
-
-
-def boxes_to_csv(bs: BoxSet) -> str:
-    """CSV dump with exact rational corners, columns lo_1,hi_1,...,lo_d,hi_d."""
-    return "".join(_csv_chunks(bs.dens, [bs.columns]))
-
-
-def boxes_to_svg(bs: BoxSet) -> str:
-    """Plain SVG rendering of a planar box set on the unit square.
-
-    Only defined for d = 2.  The vertical axis is flipped so the origin sits
-    at the bottom-left, and no external styling is referenced.  Corners are
-    integer quotients, which round correctly as Fraction.__float__ does.
-    """
-    _check_planar(bs.d)
-    return "".join(_svg_chunks(bs.dens, [bs.columns]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     NonStrictBases,
@@ -32,9 +32,9 @@ from .errors import (
 )
 from .cubes import (
     ApproximateCube,
-    BoxSet,
     ScaleLike,
     _column_width,
+    _cover_blocks,
     admit,
     approximate_cube,
     count_cubes,
@@ -195,23 +195,24 @@ def _tangent_cover(
     return tmap, head + [digits] * (level - k1)
 
 
-def tangent_image(s: Sponge, R: ScaleLike, mode: Mode, level: int) -> BoxSet:
-    """Rescale the level-`level` cover of the tangent cube to the unit cube.
+def _tangent_blocks(
+    s: Sponge, R: ScaleLike, mode: Mode, level: int
+) -> tuple[tuple[int, ...], int, Iterator[tuple]]:
+    """The tangent image's denominators, box count, and columns block by block.
 
-    Enumerates the words of length `level` lying in the cube of the tangent
-    word, takes their covering boxes, and pushes them through the cube's
-    rescaling map.  Each image box is a lattice cell: coordinate l is a cell
-    of the grid of side n_l^-(level - k_l).
+    The level-`level` cover of the tangent cube, pushed through the cube's
+    rescaling map onto the unit cube, in word order.  Each image box is a
+    lattice cell: coordinate l is a cell of the grid of side n_l^-(level - k_l).
+    The cover is admitted at the call.
     """
     tmap, choices = _tangent_cover(s, R, mode, level)
-    columns: list[tuple[int, ...]] = []
-    dens: list[int] = []
-    for l, (n, k) in enumerate(zip(s.bases, tmap.cube.exponents.k)):
-        shift = tmap.offsets[l] * n ** (level - k)
-        column = lattice_column(n, [[j[l] for j in c] for c in choices])
-        columns.append(tuple(v - shift for v in column))
-        dens.append(n ** (level - k))
-    return BoxSet(tuple(columns), tuple(dens))
+    ks = tmap.cube.exponents.k
+    # a digit the cube pins in coordinate l adds exactly what the map's offset
+    # takes away, so the image reads it as 0
+    image = [[tuple(0 if t < k else v for v, k in zip(j, ks)) for j in c]
+             for t, c in enumerate(choices)]
+    dens = tuple(n ** (level - k) for n, k in zip(s.bases, ks))
+    return dens, math.prod(map(len, choices)), _cover_blocks(s.bases, image)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +439,7 @@ def check_tangent_convergence(
     corner_values: list[list[float]] = []
     for l, n in enumerate(s.bases):
         res = n**refinement
-        cells = sorted(set(lattice_column(n, [sorted(alphabets[l])] * refinement)))
+        cells = lattice_column(n, [alphabets[l]] * refinement)
         run_lo: list[int] = []
         run_hi: list[int] = []
         for v in cells:

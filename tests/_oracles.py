@@ -322,11 +322,11 @@ def cube_box(s: Sponge, q: ApproximateCube):
     return tuple(box)
 
 
-def boxset_boxes(bs):
-    """A BoxSet's boxes as Fraction pairs, box by box, for comparisons."""
-    return tuple(zip(*(
+def boxset_boxes(dens, blocks):
+    """A cover's boxes, given block by block, as Fraction pairs box by box."""
+    return tuple(box for block in blocks for box in zip(*(
         [(Fraction(v, den), Fraction(v + 1, den)) for v in column]
-        for column, den in zip(bs.columns, bs.dens)
+        for column, den in zip(block, dens)
     )))
 
 
@@ -389,7 +389,7 @@ def prefractal_boxes(s: Sponge, level: int):
     """Level-``level`` pre-fractal boxes, one Fraction pair per coordinate.
 
     Sums each word's contractions box by box in exact rationals, in the
-    lexicographic word order ``prefractal`` promises.
+    lexicographic word order ``cubes._prefractal_blocks`` promises.
     """
     boxes = []
     for w in itertools.product(s.digits, repeat=level):
@@ -449,6 +449,25 @@ def tangent_image_boxes(s: Sponge, R, mode, level: int):
         for box in prefractal_boxes(s, level)
         if all(clo <= lo and hi <= chi for (clo, chi), (lo, hi) in zip(cube, box))
     )
+
+
+def tangent_image_columns(s: Sponge, R, mode, level: int):
+    """Denominators and whole numerator columns of the tangent image.
+
+    Every word's lattice column over the full word, minus the tangent map's
+    shift, the offset of the cube's corner at the cover's resolution.
+    """
+    from spongedim.cubes import lattice_column
+    from spongedim.verify import _tangent_cover
+
+    tmap, choices = _tangent_cover(s, R, mode, level)
+    columns, dens = [], []
+    for l, (n, k) in enumerate(zip(s.bases, tmap.cube.exponents.k)):
+        shift = tmap.offsets[l] * n ** (level - k)
+        column = lattice_column(n, [[j[l] for j in c] for c in choices])
+        columns.append([v - shift for v in column])
+        dens.append(n ** (level - k))
+    return tuple(dens), columns
 
 
 def hat_set_prefractal(s: Sponge, mode, level: int, cap: int = DEFAULT_CAP):

@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 import spongedim as sd
 import _oracles as oracle
 from spongedim.cli import run
-from spongedim.cubes import DEFAULT_CAP, admit, as_scale
+from spongedim.cubes import (
+    DEFAULT_CAP, _csv_chunks, _prefractal_blocks, _svg_chunks, admit, as_scale,
+)
+from spongedim.verify import _tangent_blocks
 from conftest import random_strict_sponge
 
 
@@ -296,23 +299,31 @@ class TestBoxDimSlope:
         assert abs(sd.box_dim_slope(carpet_23, 60) - expected) < 0.03
 
 
+def _csv(dens, blocks) -> str:
+    return "".join(_csv_chunks(dens, blocks))
+
+
+def _svg(dens, blocks) -> str:
+    return "".join(_svg_chunks(dens, blocks))
+
+
 class TestPrefractal:
     def test_level_zero(self, sponge_234):
-        bs = sd.prefractal(sponge_234, 0)
-        assert len(bs) == 1
-        assert oracle.boxset_boxes(bs)[0] == tuple((Fraction(0), Fraction(1)) for _ in range(3))
+        boxes = oracle.boxset_boxes(*_prefractal_blocks(sponge_234, 0))
+        assert len(boxes) == 1
+        assert boxes[0] == tuple((Fraction(0), Fraction(1)) for _ in range(3))
 
     def test_level_one_sides(self, sponge_234):
-        bs = sd.prefractal(sponge_234, 1)
-        assert len(bs) == 10
-        for box in oracle.boxset_boxes(bs):
+        boxes = oracle.boxset_boxes(*_prefractal_blocks(sponge_234, 1))
+        assert len(boxes) == 10
+        for box in boxes:
             sides = tuple(hi - lo for lo, hi in box)
             assert sides == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
 
     def test_level_two_interior_disjoint(self, sponge_234):
-        bs = sd.prefractal(sponge_234, 2)
-        assert len(bs) == 100
-        boxes = sorted(oracle.boxset_boxes(bs))
+        boxes = oracle.boxset_boxes(*_prefractal_blocks(sponge_234, 2))
+        assert len(boxes) == 100
+        boxes = sorted(boxes)
         for i, a in enumerate(boxes):
             for b in boxes[i + 1 :]:
                 if b[0][0] >= a[0][1]:
@@ -324,8 +335,8 @@ class TestPrefractal:
                 assert not overlap
 
     def test_each_box_has_one_parent(self, carpet_24):
-        parents = oracle.boxset_boxes(sd.prefractal(carpet_24, 1))
-        for child in oracle.boxset_boxes(sd.prefractal(carpet_24, 2)):
+        parents = oracle.boxset_boxes(*_prefractal_blocks(carpet_24, 1))
+        for child in oracle.boxset_boxes(*_prefractal_blocks(carpet_24, 2)):
             containing = [
                 p
                 for p in parents
@@ -338,27 +349,25 @@ class TestPrefractal:
 
     def test_cap(self, sponge_234):
         with pytest.raises(sd.EnumerationTooLarge):
-            sd.prefractal(sponge_234, 8)
+            _prefractal_blocks(sponge_234, 8)
 
 
     def test_cap_refuses_huge_level_without_forming_the_count(self, sponge_234):
         with pytest.raises(sd.EnumerationTooLarge, match=r"10\^1000000000 boxes"):
-            sd.prefractal(sponge_234, 10**9)
+            _prefractal_blocks(sponge_234, 10**9)
 
 
 class TestBoxExport:
     def test_csv_shape(self, carpet_24):
-        text = sd.boxes_to_csv(sd.prefractal(carpet_24, 1))
+        text = _csv(*_prefractal_blocks(carpet_24, 1))
         lines = text.strip().splitlines()
         assert lines[0] == "lo_1,hi_1,lo_2,hi_2"
         assert len(lines) == 4
         assert "1/4" in text
 
-    def test_svg_planar_only(self, carpet_24, sponge_234):
-        svg = sd.boxes_to_svg(sd.prefractal(carpet_24, 1))
+    def test_svg_shape(self, carpet_24):
+        svg = _svg(*_prefractal_blocks(carpet_24, 1))
         assert svg.count("<rect") == 3 + 1  # background + one per box
-        with pytest.raises(sd.SpongeError):
-            sd.boxes_to_svg(sd.prefractal(sponge_234, 1))
 
 
 class TestExportOracle:
@@ -375,14 +384,15 @@ class TestExportOracle:
     def test_boxes_and_files_identical(self, spec_dir, tmp_path, name, levels):
         s = sd.load_sponge(spec_dir / f"{name}.json")
         for level in levels:
-            bs = sd.prefractal(s, level)
+            dens, blocks = _prefractal_blocks(s, level)
+            blocks = list(blocks)
             expected = oracle.prefractal_boxes(s, level)
-            assert oracle.boxset_boxes(bs) == expected
+            assert oracle.boxset_boxes(dens, blocks) == expected
             texts = {"csv": oracle.boxes_csv(expected)}
-            assert sd.boxes_to_csv(bs) == texts["csv"]
+            assert _csv(dens, blocks) == texts["csv"]
             if s.d == 2:
                 texts["svg"] = oracle.boxes_svg(expected)
-                assert sd.boxes_to_svg(bs) == texts["svg"]
+                assert _svg(dens, blocks) == texts["svg"]
             for suffix, text in texts.items():
                 out = tmp_path / f"{name}_{level}.{suffix}"
                 assert run(["render", str(spec_dir / f"{name}.json"),
@@ -394,17 +404,18 @@ class TestExportOracle:
     def test_random_sponges_export_alike(self, seed, level, depth):
         """Column exports of pre-fractals and tangent images match the oracle."""
         s = random_strict_sponge(random.Random(seed), max_base=5, max_digits=6)
-        bs = sd.prefractal(s, level)
+        dens, blocks = _prefractal_blocks(s, level)
+        blocks = list(blocks)
         expected = oracle.prefractal_boxes(s, level)
-        assert sd.boxes_to_csv(bs) == oracle.boxes_csv(expected)
+        assert _csv(dens, blocks) == oracle.boxes_csv(expected)
         if s.d == 2:
-            assert sd.boxes_to_svg(bs) == oracle.boxes_svg(expected)
+            assert _svg(dens, blocks) == oracle.boxes_svg(expected)
         R = Fraction(1, s.bases[0] ** depth)
         if level < depth:
             return
         mode = sd.Mode.MAX if seed % 2 else sd.Mode.MIN
-        image = sd.tangent_image(s, R, mode, level)
-        assert sd.boxes_to_csv(image) == oracle.boxes_csv(
+        dens, _, blocks = _tangent_blocks(s, R, mode, level)
+        assert _csv(dens, blocks) == oracle.boxes_csv(
             oracle.tangent_image_boxes(s, R, mode, level)
         )
 

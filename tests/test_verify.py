@@ -19,6 +19,7 @@ from spongedim.verify import (
     _DepthPlan,
     _interval_sup_bound,
     _interval_sup_dist,
+    _tangent_blocks,
     _tau_point,
     report_to_json,
     scan_samples_csv,
@@ -556,17 +557,24 @@ class TestHatSet:
             oracle.hat_set_prefractal(sponge_234, Mode.MAX, 10**9)
 
 
+def _image_boxes(s, R, mode, level):
+    dens, count, blocks = _tangent_blocks(s, R, mode, level)
+    boxes = oracle.boxset_boxes(dens, blocks)
+    assert len(boxes) == count
+    return boxes
+
+
 class TestTangentImage:
     def test_exact_boxes_inside_unit_cube(self, sponge_234):
-        bs = sd.tangent_image(sponge_234, Fraction(1, 16), Mode.MAX, 6)
-        assert len(bs) > 0
-        for box in oracle.boxset_boxes(bs):
+        boxes = _image_boxes(sponge_234, Fraction(1, 16), Mode.MAX, 6)
+        assert len(boxes) > 0
+        for box in boxes:
             for lo, hi in box:
                 assert Fraction(0) <= lo < hi <= Fraction(1)
 
     def test_level_must_reach_cube_depth(self, sponge_234):
         with pytest.raises(sd.ScaleOutOfRange):
-            sd.tangent_image(sponge_234, Fraction(1, 16), Mode.MAX, 3)
+            _tangent_blocks(sponge_234, Fraction(1, 16), Mode.MAX, 3)
 
     def test_blocks_land_in_witness_alphabet_cells(self, carpet_24):
         """Rescaled cube boxes sit inside the hat IFS intervals.
@@ -578,8 +586,7 @@ class TestTangentImage:
         R = Fraction(1, 16)
         gap = 2  # k1 - k2 at this scale
         cells = oracle.alphabet_intervals(4, (1, 3), gap)
-        bs = sd.tangent_image(carpet_24, R, Mode.MAX, 6)
-        for box in oracle.boxset_boxes(bs):
+        for box in _image_boxes(carpet_24, R, Mode.MAX, 6):
             lo, hi = box[1]
             assert any(clo <= lo and hi <= chi for clo, chi in cells)
 
@@ -591,8 +598,20 @@ class TestTangentImage:
             s = sd.load_sponge(spec_dir / f"{name}.json")
             for mode in Mode:
                 expected = oracle.tangent_image_boxes(s, R, mode, level)
-                got = oracle.boxset_boxes(sd.tangent_image(s, R, mode, level))
+                got = _image_boxes(s, R, mode, level)
                 assert got == expected
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_blocks_match_shifted_full_columns(self, sponge_234, mode):
+        """Across many blocks, the image columns are every word's full
+        lattice column minus the map's shift."""
+        dens, count, blocks = _tangent_blocks(sponge_234, Fraction(1, 16), mode, 7)
+        blocks = list(blocks)
+        assert len(blocks) > 1
+        columns = [list(itertools.chain.from_iterable(c)) for c in zip(*blocks)]
+        expected = oracle.tangent_image_columns(sponge_234, Fraction(1, 16), mode, 7)
+        assert (dens, columns) == expected
+        assert count == len(columns[0])
 
 
 class TestTangentConvergence:
